@@ -9,10 +9,10 @@
 //!   λ⁴ᵢ `Touch` rule (priority inversions are compile errors), plus the
 //!   dynamically-checked [`priority::PrioritySet`] used by the scheduler;
 //! * [`future`] — prioritized futures: `fcreate` returns an [`future::IFuture`],
-//!   `ftouch` waits for it (helping execute other ready tasks instead of
-//!   blocking the worker);
+//!   `ftouch` waits for it (helping execute other ready tasks, but none
+//!   below the lower of the waiting task's and the future's priorities);
 //! * [`pool`] / [`worker`] — per-priority-level task pools served by a fixed
-//!   set of worker threads;
+//!   set of worker threads, which park when there is nothing to run;
 //! * [`master`] — the two-level adaptive scheduler: every quantum it
 //!   re-evaluates each level's *desire* from its measured utilization
 //!   (multiplying or dividing by the growth parameter γ) and hands out cores

@@ -10,8 +10,13 @@
 //!    met, and divide by γ otherwise;
 //! 3. hands out cores in priority order, highest first, each level receiving
 //!    `min(desire, remaining)` cores, and maps workers to levels
-//!    accordingly (left-over cores go to the lowest level so they are never
-//!    parked while work exists).
+//!    accordingly (left-over cores go to the lowest level, so every worker
+//!    has an assignment).
+//!
+//! An assignment is a preference, not a fence: a worker with nothing at
+//! its level runs other levels, and one with nothing at all parks (see
+//! [`crate::pool`]).  A parked worker records no busy time, so its level's
+//! utilization — and next its desire — falls.
 
 use crate::pool::SharedState;
 use std::sync::atomic::Ordering;

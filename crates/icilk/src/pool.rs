@@ -17,14 +17,33 @@
 //! In oblivious (Cilk-F stand-in) mode everything still funnels through one
 //! global FIFO, deliberately: that contention is part of the baseline being
 //! compared against.
+//!
+//! # The helping floor
+//!
+//! A task blocked in `ftouch` runs queued tasks while it waits, on its own
+//! stack.  In prioritized mode [`SharedState::pop_task`] takes a *floor*: a
+//! task at level L waiting on a future at level F helps only with tasks at
+//! level ≥ min(L, F) (see `SharedState::help_floor`), so a blocked
+//! interactive task never runs background work ahead of its own children.
+//! The `min` keeps an untyped inversion (a touch of a lower-level future)
+//! able to run the very task it waits for.  Oblivious mode ignores the floor.
+//!
+//! # Parking
+//!
+//! A worker with nothing to run parks on a per-runtime condvar
+//! (`SharedState::park`).  [`SharedState::push_task`] wakes one only when
+//! the task would otherwise sit unseen: when it comes from outside the pool,
+//! or when its queue already held a task.  A single child pushed by a worker
+//! is left for that worker, which will touch or pop it next — the spawn path
+//! costs no syscall.
 
 use crate::metrics::MetricsCollector;
 use crate::priority::PrioritySet;
 use crate::trace::TraceCollector;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// A unit of work: the boxed task body plus accounting metadata.
@@ -100,6 +119,23 @@ struct LocalDeque {
 
 thread_local! {
     static LOCAL_DEQUE: RefCell<Option<LocalDeque>> = const { RefCell::new(None) };
+    /// `(runtime address, level)` of the task executing on this thread, if
+    /// any.  Saved and restored by [`LevelScope`], so a task run while
+    /// helping inside `ftouch` sets the floor of its own touches.
+    static RUNNING_LEVEL: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
+}
+
+/// Marks a task as running on this thread for the helping floor; restores
+/// the enclosing task's level on drop.  Created by
+/// [`crate::worker::execute_task`].
+pub(crate) struct LevelScope {
+    previous: Option<(usize, usize)>,
+}
+
+impl Drop for LevelScope {
+    fn drop(&mut self) {
+        RUNNING_LEVEL.with(|c| c.set(self.previous));
+    }
 }
 
 /// State shared between the public runtime handle, the workers, the master
@@ -123,6 +159,15 @@ pub struct SharedState {
     deques: Mutex<Vec<Option<Worker<Task>>>>,
     /// Set when the runtime is shutting down.
     pub shutdown: AtomicBool,
+    /// Bumped by every push that may wake a parked worker; a worker parks
+    /// only if it is unchanged since the worker last looked for work.
+    push_epoch: AtomicU64,
+    /// Workers currently inside [`SharedState::park`].
+    parked: AtomicUsize,
+    /// Calls to [`SharedState::park`] since start.
+    parks: AtomicU64,
+    park_lock: Mutex<()>,
+    park_cv: Condvar,
     /// Per-level task statistics.
     pub metrics: MetricsCollector,
     /// The execution tracer, when tracing is enabled.
@@ -162,6 +207,11 @@ impl SharedState {
             stealers,
             deques: Mutex::new(deques.into_iter().map(Some).collect()),
             shutdown: AtomicBool::new(false),
+            push_epoch: AtomicU64::new(0),
+            parked: AtomicUsize::new(0),
+            parks: AtomicU64::new(0),
+            park_lock: Mutex::new(()),
+            park_cv: Condvar::new(),
             metrics,
             trace,
             num_workers,
@@ -212,6 +262,12 @@ impl SharedState {
         self as *const SharedState as usize
     }
 
+    /// Runs `f` on this thread's deque if the thread is a worker of this
+    /// runtime, else on `None`.
+    fn with_local<R>(&self, f: impl FnOnce(Option<&LocalDeque>) -> R) -> R {
+        LOCAL_DEQUE.with(|slot| f(slot.borrow().as_ref().filter(|l| l.owner == self.addr())))
+    }
+
     /// Enqueues a task.
     ///
     /// Prioritized mode fast path: when called from a worker thread of this
@@ -219,35 +275,117 @@ impl SharedState {
     /// goes onto that worker's private deque; otherwise (external
     /// submission, or a spawn at a different level) it goes to the level's
     /// injection queue.  Oblivious mode always uses the global FIFO.
+    ///
+    /// A parked worker is woken only for a push from outside the pool or
+    /// onto a queue that already held a task (see the module docs).
     pub fn push_task(&self, task: Task) {
         let level = task.level.min(self.levels.len() - 1);
         self.levels[level].pending.fetch_add(1, Ordering::Relaxed);
-        match self.kind {
-            PoolKind::Prioritized => {
-                if let Some(task) = self.try_push_local(task, level) {
-                    self.levels[level].injector.push(task);
+        let wake = self.with_local(|local| {
+            let queue_was_busy = match local {
+                Some(l)
+                    if self.kind == PoolKind::Prioritized
+                        && self.assignment[l.worker_id].load(Ordering::Relaxed) == level =>
+                {
+                    let busy = !l.deque.is_empty();
+                    l.deque.push(task);
+                    busy
                 }
-            }
-            PoolKind::Oblivious => self.global.push(task),
+                _ => {
+                    let queue = match self.kind {
+                        PoolKind::Prioritized => &self.levels[level].injector,
+                        PoolKind::Oblivious => &self.global,
+                    };
+                    let busy = !queue.is_empty();
+                    queue.push(task);
+                    busy
+                }
+            };
+            queue_was_busy || local.is_none()
+        });
+        if wake {
+            self.wake_one();
         }
     }
 
-    /// Attempts the worker-local fast path; gives the task back on miss.
-    fn try_push_local(&self, task: Task, level: usize) -> Option<Task> {
-        LOCAL_DEQUE.with(|slot| match &*slot.borrow() {
-            Some(local)
-                if local.owner == self.addr()
-                    && self
-                        .assignment
-                        .get(local.worker_id)
-                        .map(|a| a.load(Ordering::Relaxed))
-                        == Some(level) =>
-            {
-                local.deque.push(task);
-                None
-            }
-            _ => Some(task),
-        })
+    /// Wakes one parked worker, if any.  Bumps the push epoch first, so a
+    /// worker between its last look for work and its park does not sleep.
+    fn wake_one(&self) {
+        self.push_epoch.fetch_add(1, Ordering::SeqCst);
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            let _guard = self.park_guard();
+            self.park_cv.notify_one();
+        }
+    }
+
+    fn park_guard(&self) -> MutexGuard<'_, ()> {
+        self.park_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wakes a parked worker when tasks are queued.  Called by a task
+    /// blocked in `ftouch` with nothing above its floor to help with: the
+    /// queued work below the floor (or a lone child nobody was woken for)
+    /// goes to a core that is free to run it.
+    pub(crate) fn wake_for_queued_work(&self) {
+        if self.parked.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        let queued = !self.global.is_empty()
+            || self.levels.iter().any(|l| !l.injector.is_empty())
+            || self.stealers.iter().any(|s| !s.is_empty());
+        if queued {
+            self.wake_one();
+        }
+    }
+
+    /// The current push epoch.  A worker reads it, looks for work once
+    /// more, and passes it to [`SharedState::park`].
+    pub(crate) fn push_epoch(&self) -> u64 {
+        self.push_epoch.load(Ordering::SeqCst)
+    }
+
+    /// Parks the calling worker until a push that wakes workers, or
+    /// shutdown.  Returns at once if such a push happened since `epoch` was
+    /// read, so a task pushed between the worker's last look and this call
+    /// is never slept through.
+    pub(crate) fn park(&self, epoch: u64) {
+        self.parks.fetch_add(1, Ordering::Relaxed);
+        let mut guard = self.park_guard();
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        while self.push_epoch.load(Ordering::SeqCst) == epoch && !self.is_shutting_down() {
+            guard = self
+                .park_cv
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        self.parked.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// How many times workers have parked since start.  An idle runtime
+    /// parks each worker once and leaves it asleep; exposed for the
+    /// busy-wake regression tests and diagnostics.
+    pub fn parks(&self) -> u64 {
+        self.parks.load(Ordering::Relaxed)
+    }
+
+    /// Marks a task at `level` as running on this thread until the returned
+    /// scope drops.
+    pub(crate) fn enter_level(&self, level: usize) -> LevelScope {
+        let previous = RUNNING_LEVEL.with(|c| c.replace(Some((self.addr(), level))));
+        LevelScope { previous }
+    }
+
+    /// The helping floor for a touch of a future at level `touched` from
+    /// this thread: min(L, `touched`) where L is the level of the task of
+    /// this runtime running here.  A thread running no such task helps only
+    /// at or above `touched`.
+    pub(crate) fn help_floor(&self, touched: usize) -> usize {
+        RUNNING_LEVEL
+            .with(Cell::get)
+            .filter(|&(owner, _)| owner == self.addr())
+            .map_or(touched, |(_, level)| level.min(touched))
     }
 
     /// The pop path for worker threads: own deque first (newest-first,
@@ -269,7 +407,7 @@ impl SharedState {
                 if let Some(t) = self.pop_level(assigned) {
                     return Some(t);
                 }
-                if let Some(t) = self.steal_from_peers(Some(worker_id)) {
+                if let Some(t) = self.steal_from_peers(Some(worker_id), 0) {
                     return Some(t);
                 }
                 for level in (0..self.levels.len()).rev() {
@@ -284,31 +422,23 @@ impl SharedState {
         }
     }
 
-    /// Tries to pop a task for a helper assigned to `preferred_level`
-    /// (prioritized mode) or any task (oblivious mode).  Used by `ftouch`'s
-    /// helping path and by threads outside the worker pool.
+    /// Tries to pop a task at level `floor` or above (prioritized mode) or
+    /// any task (oblivious mode, where priorities do not order the queue).
+    /// Used by `ftouch`'s helping path with `SharedState::help_floor`.
     ///
-    /// In prioritized mode the helper first serves `preferred_level`'s
-    /// injector; if that is empty it helps any *other* level, scanning from
-    /// the highest priority down, and finally steals from the worker deques
-    /// — this approximates proactive work stealing's property that cores are
-    /// never idle while work exists, while the master's allotments still
-    /// bias capacity toward high priorities.
-    pub fn pop_task(&self, preferred_level: usize) -> Option<Task> {
+    /// In prioritized mode the helper scans the level injectors from the
+    /// highest priority down to `floor`, then steals from worker deques.  A
+    /// stolen task below the floor goes back to its level's injector, as a
+    /// worker's own pop does with stale backlog.
+    pub fn pop_task(&self, floor: usize) -> Option<Task> {
         match self.kind {
             PoolKind::Oblivious => self.pop_global(),
             PoolKind::Prioritized => {
-                if let Some(t) = self.pop_level(preferred_level) {
-                    return Some(t);
-                }
-                for level in (0..self.levels.len()).rev() {
-                    if level != preferred_level {
-                        if let Some(t) = self.pop_level(level) {
-                            return Some(t);
-                        }
-                    }
-                }
-                self.steal_from_peers(None)
+                let floor = floor.min(self.levels.len() - 1);
+                (floor..self.levels.len())
+                    .rev()
+                    .find_map(|level| self.pop_level(level))
+                    .or_else(|| self.steal_from_peers(None, floor))
             }
         }
     }
@@ -321,18 +451,16 @@ impl SharedState {
     /// of the newly assigned (possibly higher-priority) level — otherwise a
     /// stale backlog would invert the priority the rebalance established.
     fn pop_local(&self, assigned: usize) -> Option<Task> {
-        LOCAL_DEQUE.with(|slot| match &*slot.borrow() {
-            Some(local) if local.owner == self.addr() => {
-                while let Some(task) = local.deque.pop() {
-                    let level = task.level.min(self.levels.len() - 1);
-                    if level == assigned {
-                        return Some(task);
-                    }
-                    self.levels[level].injector.push(task);
+        self.with_local(|local| {
+            let local = local?;
+            while let Some(task) = local.deque.pop() {
+                let level = task.level.min(self.levels.len() - 1);
+                if level == assigned {
+                    return Some(task);
                 }
-                None
+                self.levels[level].injector.push(task);
             }
-            _ => None,
+            None
         })
     }
 
@@ -340,14 +468,28 @@ impl SharedState {
     /// highest priority level first (the steal-from-highest-allotted-level
     /// policy: stolen capacity flows toward the levels the master granted
     /// the most cores at the top of the order).
-    fn steal_from_peers(&self, thief: Option<usize>) -> Option<Task> {
+    ///
+    /// With a `floor` above 0, peers assigned below it are skipped (their
+    /// deques hold work the caller may not run) except the caller's own
+    /// deque, which may still hold its children from an earlier assignment;
+    /// a stolen task below the floor goes back to its injector.
+    fn steal_from_peers(&self, thief: Option<usize>, floor: usize) -> Option<Task> {
+        let own = self.with_local(|local| local.map(|l| l.worker_id));
         for level in (0..self.levels.len()).rev() {
             for (peer, assigned) in self.assignment.iter().enumerate() {
-                if Some(peer) == thief || assigned.load(Ordering::Relaxed) != level {
+                if Some(peer) == thief
+                    || assigned.load(Ordering::Relaxed) != level
+                    || (level < floor && Some(peer) != own)
+                {
                     continue;
                 }
                 loop {
                     match self.stealers[peer].steal() {
+                        Steal::Success(t) if t.level < floor => {
+                            self.levels[t.level.min(self.levels.len() - 1)]
+                                .injector
+                                .push(t);
+                        }
                         Steal::Success(t) => {
                             if let (Some(tc), Some(key)) = (&self.trace, t.trace) {
                                 tc.record_steal(key);
@@ -404,9 +546,12 @@ impl SharedState {
             .any(|l| l.pending.load(Ordering::Relaxed) > 0)
     }
 
-    /// Signals shutdown to workers, the master, and the reactor.
+    /// Signals shutdown to workers, the master, and the reactor, waking
+    /// every parked worker.
     pub fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        let _guard = self.park_guard();
+        self.park_cv.notify_all();
     }
 
     /// Whether shutdown has been requested.
@@ -435,18 +580,59 @@ mod tests {
     }
 
     #[test]
-    fn prioritized_pop_prefers_assigned_then_highest() {
+    fn prioritized_pop_takes_highest_first_and_nothing_below_the_floor() {
         let s = shared(PoolKind::Prioritized);
         let m = Arc::new(AtomicUsize::new(0));
         s.push_task(task(0, m.clone()));
         s.push_task(task(1, m.clone()));
-        // A helper assigned to level 0 pops its own level first.
-        let t = s.pop_task(0).unwrap();
-        assert_eq!(t.level, 0);
-        // Then helps the other level.
-        let t = s.pop_task(0).unwrap();
-        assert_eq!(t.level, 1);
+        s.push_task(task(1, m.clone()));
+        // Floor 0 admits every level, highest first.
+        assert_eq!(s.pop_task(0).unwrap().level, 1);
+        // Floor 1 admits only level 1; the level-0 task stays queued.
+        assert_eq!(s.pop_task(1).unwrap().level, 1);
+        assert!(s.pop_task(1).is_none());
+        assert_eq!(s.levels[0].injector.len(), 1);
+        assert_eq!(s.pop_task(0).unwrap().level, 0);
         assert!(s.pop_task(0).is_none());
+    }
+
+    #[test]
+    fn helper_steal_returns_tasks_below_the_floor_to_their_injector() {
+        let s = shared(PoolKind::Prioritized);
+        let m = Arc::new(AtomicUsize::new(0));
+        s.register_current_worker(0);
+        // Assigned to level 0, this worker's spawn lands on its own deque.
+        s.assignment[0].store(0, Ordering::Relaxed);
+        s.push_task(task(0, m.clone()));
+        assert_eq!(s.stealers[0].len(), 1);
+        // A helper at floor 1 must not run it: the steal hands it back.
+        assert!(s.pop_task(1).is_none());
+        assert_eq!(s.stealers[0].len(), 0);
+        assert_eq!(s.levels[0].injector.len(), 1);
+        s.unregister_current_worker();
+    }
+
+    #[test]
+    fn help_floor_is_the_lower_of_the_running_and_touched_levels() {
+        let s = shared(PoolKind::Prioritized);
+        let other = shared(PoolKind::Prioritized);
+        // No task running: help at or above the touched level.
+        assert_eq!(s.help_floor(1), 1);
+        {
+            let _hi = s.enter_level(1);
+            assert_eq!(s.help_floor(1), 1);
+            // An untyped inversion lowers the floor to the touched level.
+            assert_eq!(s.help_floor(0), 0);
+            {
+                let _lo = s.enter_level(0);
+                assert_eq!(s.help_floor(1), 0);
+            }
+            assert_eq!(s.help_floor(1), 1, "the enclosing level is restored");
+            // Another runtime's task sets no floor here.
+            assert_eq!(other.help_floor(0), 0);
+            assert_eq!(other.help_floor(1), 1);
+        }
+        assert_eq!(s.help_floor(1), 1);
     }
 
     #[test]
@@ -480,6 +666,28 @@ mod tests {
         assert!(!s.is_shutting_down());
         s.request_shutdown();
         assert!(s.is_shutting_down());
+        // A shut-down runtime never parks a worker.
+        s.park(s.push_epoch());
+    }
+
+    #[test]
+    fn only_external_pushes_and_pushes_onto_busy_queues_bump_the_epoch() {
+        let s = shared(PoolKind::Prioritized);
+        let m = Arc::new(AtomicUsize::new(0));
+        // From outside the pool: always.
+        let e0 = s.push_epoch();
+        s.push_task(task(1, m.clone()));
+        let e1 = s.push_epoch();
+        assert!(e1 > e0);
+        let _ = s.pop_task(0);
+        // A worker's lone child: never.
+        s.register_current_worker(0);
+        s.push_task(task(1, m.clone()));
+        assert_eq!(s.push_epoch(), e1, "a lone child costs no wake-up");
+        // A second task on the same deque: a peer could run it.
+        s.push_task(task(1, m.clone()));
+        assert!(s.push_epoch() > e1);
+        s.unregister_current_worker();
     }
 
     #[test]

@@ -308,9 +308,16 @@ impl Runtime {
     }
 
     /// `ftouch` from inside a task: waits for the future, executing other
-    /// ready tasks while it is not yet available (so the worker never idles
-    /// on a join — the analogue of proactive work stealing's non-blocking
-    /// joins).
+    /// ready tasks while it is not yet available.
+    ///
+    /// Helping is bounded by a priority floor: a task at level L touching a
+    /// future at level F runs only queued tasks at level ≥ min(L, F), so a
+    /// blocked high-priority task never runs lower-priority work on its own
+    /// stack (the `min` still lets an untyped inversion run the task it
+    /// waits for).  A caller that is not running a task of this runtime
+    /// helps only at or above F.  With nothing eligible queued, the caller
+    /// wakes a parked worker for any queued work below the floor and waits
+    /// on the future.  The baseline scheduler helps without a floor.
     ///
     /// # Example
     ///
@@ -343,15 +350,15 @@ impl Runtime {
     /// }
     /// ```
     pub fn ftouch<T: Clone + Send + 'static>(&self, future: &IFuture<T>) -> T {
+        let floor = self.shared.help_floor(future.priority().index());
         let value = loop {
             if let Some(v) = future.try_get() {
                 break v;
             }
-            // Help: run someone else's task, preferring the highest levels.
-            let top = self.shared.priorities.len() - 1;
-            match self.shared.pop_task(top) {
+            match self.shared.pop_task(floor) {
                 Some(task) => execute_task(&self.shared, task),
                 None => {
+                    self.shared.wake_for_queued_work();
                     if let Some(v) = future.wait_clone_timeout(Duration::from_micros(200)) {
                         break v;
                     }
@@ -620,7 +627,7 @@ mod tests {
             rt2.ftouch(&inner) * 2
         });
         assert_eq!(rt.ftouch_blocking(&outer), 42);
-        Arc::try_unwrap(rt).expect("sole owner").shutdown();
+        shutdown_shared(rt);
     }
 
     #[test]
@@ -787,21 +794,100 @@ mod tests {
         let plain = runtime(SchedulerKind::ICilk);
         assert!(plain.trace_snapshot().is_none());
         plain.shutdown();
-        // Task closures drop their runtime handles shortly after the drain;
-        // wait to be the sole owner before shutting down.
-        let mut rt = rt;
+        shutdown_shared(rt);
+    }
+
+    fn one_worker_lo_hi() -> (Arc<Runtime>, Priority, Priority) {
+        let rt = Arc::new(Runtime::start(
+            RuntimeConfig::new(1, 2).with_level_names(["lo", "hi"]),
+        ));
+        let lo = rt.priority_by_name("lo").unwrap();
+        let hi = rt.priority_by_name("hi").unwrap();
+        (rt, lo, hi)
+    }
+
+    /// Waits to be the sole owner of a runtime whose task closures still
+    /// hold clones of the handle, then shuts it down.
+    fn shutdown_shared(mut rt: Arc<Runtime>) {
+        let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             match Arc::try_unwrap(rt) {
-                Ok(owned) => {
-                    owned.shutdown();
-                    break;
-                }
-                Err(shared) => {
+                Ok(owned) => return owned.shutdown(),
+                Err(shared) if Instant::now() < deadline => {
                     rt = shared;
                     std::thread::sleep(Duration::from_millis(1));
                 }
+                Err(_) => panic!("a task still holds the runtime handle"),
             }
         }
+    }
+
+    /// Regression test for the help rule: a blocked `ftouch` used to pop any
+    /// queued level, so a high-priority task waiting on its own child ran a
+    /// queued low-priority task on its stack first.
+    #[test]
+    fn blocked_high_touch_never_runs_queued_low_work() {
+        let (rt, lo, hi) = one_worker_lo_hi();
+        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let (rt2, order2) = (Arc::clone(&rt), Arc::clone(&order));
+        let outer = rt.fcreate(hi, move || {
+            let order_lo = Arc::clone(&order2);
+            let _background = rt2.fcreate(lo, move || order_lo.lock().push("lo started"));
+            let child = rt2.fcreate(hi, || 2u64);
+            let v = rt2.ftouch(&child);
+            order2.lock().push("hi finished");
+            v
+        });
+        assert_eq!(outer.wait_clone_timeout(Duration::from_secs(5)), Some(2));
+        assert!(rt.drain(Duration::from_secs(5)));
+        assert_eq!(*order.lock(), vec!["hi finished", "lo started"]);
+        shutdown_shared(rt);
+    }
+
+    /// The floor is min(toucher, touched): touching a lower-level future
+    /// through the untyped API still runs it, even with one worker.
+    #[test]
+    fn untyped_touch_of_lower_level_future_completes_on_one_worker() {
+        let (rt, lo, hi) = one_worker_lo_hi();
+        let rt2 = Arc::clone(&rt);
+        let outer = rt.fcreate(hi, move || {
+            let low = rt2.fcreate(lo, || 3u64);
+            rt2.ftouch(&low) * 2
+        });
+        assert_eq!(outer.wait_clone_timeout(Duration::from_secs(5)), Some(6));
+        shutdown_shared(rt);
+    }
+
+    /// Parked workers wake for a push from outside the pool.
+    #[test]
+    fn external_fcreate_wakes_an_idle_runtime() {
+        let rt = runtime(SchedulerKind::ICilk);
+        let ui = rt.priority_by_name("ui").unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        let f = rt.fcreate(ui, || 11u32);
+        assert_eq!(
+            f.wait_clone_timeout(Duration::from_millis(50)),
+            Some(11),
+            "a parked runtime must run an external submission promptly"
+        );
+        rt.shutdown();
+    }
+
+    /// `shutdown` wakes parked workers, so joining them cannot hang.
+    #[test]
+    fn shutdown_of_a_parked_runtime_joins_promptly() {
+        let rt = runtime(SchedulerKind::ICilk);
+        std::thread::sleep(Duration::from_millis(50));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let started = Instant::now();
+            rt.shutdown();
+            let _ = tx.send(started.elapsed());
+        });
+        let took = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("shutdown of a parked runtime hung");
+        assert!(took < Duration::from_millis(500), "shutdown took {took:?}");
     }
 
     #[test]

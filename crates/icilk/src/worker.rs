@@ -2,25 +2,27 @@
 //!
 //! Each worker repeatedly asks the shared state for a task — preferring its
 //! master-assigned priority level — executes it, and records its compute and
-//! response times.  When no work is available the worker sleeps briefly
-//! (an idle tick), which the master observes as low utilization.
+//! response times.  When no work is available the worker parks until a push
+//! wakes it (see the parking rules in [`crate::pool`]); a parked worker
+//! records no busy time, which the master observes as low utilization.
 
 use crate::pool::SharedState;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// How long an idle worker sleeps before re-checking for work.
-pub const IDLE_SLEEP: Duration = Duration::from_micros(100);
+use std::time::Instant;
 
 /// Runs one task to completion, recording metrics and counters.
 ///
 /// Shared by the worker loop and by `ftouch`'s helping path, so that a task
-/// executed while waiting is accounted identically.
+/// executed while waiting is accounted identically.  While the task runs,
+/// its level is this thread's helping floor (see
+/// `SharedState::help_floor`).
 pub fn execute_task(shared: &SharedState, task: crate::pool::Task) {
     let level = task.level;
     let started = Instant::now();
+    let running = shared.enter_level(level);
     (task.run)();
+    drop(running);
     let finished = Instant::now();
     let compute = finished - started;
     let response = finished - task.enqueued_at;
@@ -49,9 +51,16 @@ pub fn worker_loop(shared: Arc<SharedState>, worker_id: usize) {
     shared.register_current_worker(worker_id);
     let _guard = DequeGuard(&shared);
     while !shared.is_shutting_down() {
+        if let Some(task) = shared.pop_for_worker(worker_id) {
+            execute_task(&shared, task);
+            continue;
+        }
+        // Read the epoch, then look once more: a push after the read
+        // changes the epoch and `park` returns at once.
+        let epoch = shared.push_epoch();
         match shared.pop_for_worker(worker_id) {
             Some(task) => execute_task(&shared, task),
-            None => std::thread::sleep(IDLE_SLEEP),
+            None => shared.park(epoch),
         }
     }
 }
@@ -75,6 +84,7 @@ mod tests {
     use crate::pool::{PoolKind, Task};
     use crate::priority::PrioritySet;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn execute_task_records_metrics_and_counters() {
@@ -123,5 +133,28 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(counter.load(Ordering::SeqCst), 20);
+    }
+
+    /// Regression test: idle workers used to sleep 100 µs and poll again,
+    /// about 2000 loop iterations per 250 ms for two workers.  They now
+    /// park until a push wakes them, so an idle quarter second costs at
+    /// most a handful of iterations.
+    #[test]
+    fn idle_workers_park_instead_of_polling() {
+        let shared = SharedState::new(PrioritySet::new(["lo", "hi"]), 2, PoolKind::Prioritized);
+        let handles = spawn_workers(&shared);
+        // Let startup settle, then measure an idle window.
+        std::thread::sleep(Duration::from_millis(20));
+        let before = shared.parks();
+        std::thread::sleep(Duration::from_millis(250));
+        let parks = shared.parks() - before;
+        assert!(
+            parks <= 5,
+            "idle workers looped {parks} times in 250 ms — busy-wake regression"
+        );
+        shared.request_shutdown();
+        for h in handles {
+            h.join().unwrap();
+        }
     }
 }

@@ -1,15 +1,18 @@
 //! The TCP server: acceptor + connection shards in front of the runtime.
 //!
-//! Thread model (all `std::net`, blocking sockets):
+//! Thread model (all `std::net`):
 //!
 //! * one **acceptor** thread owns the listener and hands accepted
 //!   connections round-robin to the shards;
-//! * N **shard** threads each own a set of connections.  A shard's read
-//!   loop uses a short read timeout as its poll interval: it buffers
-//!   whatever bytes are available per connection, extracts complete
-//!   envelope frames, and dispatches each request as an `fcreate` task on
-//!   the runtime at a priority chosen per request class.  Shards never run
-//!   request bodies themselves;
+//! * N **shard** threads each own a set of non-blocking connections.  A
+//!   shard sweeps its connections, buffers whatever bytes each has,
+//!   extracts complete envelope frames, and dispatches each request as an
+//!   `fcreate` task on the runtime at a priority chosen per request class;
+//!   a sweep that reads nothing sleeps a poll interval.  (Not a blocking
+//!   read with a short timeout: the kernel rounds that timeout up to whole
+//!   scheduler ticks — 8 ms for 200 µs on a 2-vCPU Linux VM — so one idle
+//!   connection would stall every other connection of its shard.)  Shards
+//!   never run request bodies themselves;
 //! * **workers** execute the request tasks (cache lookups, Huffman coding,
 //!   jserver kernels, λ⁴ᵢ pipelines);
 //! * the **I/O reactor** writes every response frame:  the handler task
@@ -96,9 +99,19 @@ pub const LEVELS: [&str; 10] = [
     "event",
 ];
 
-/// How long a shard read blocks per connection before moving on — the
-/// shard's poll interval.
+/// How long a shard sleeps after a sweep that read nothing, and the admin
+/// plane's read timeout.
 const SHARD_POLL: Duration = Duration::from_micros(200);
+
+/// The shard's sleep while its connections are busy — some connection
+/// delivered bytes within the last [`SHARD_HOT`].  Short, because a
+/// closed-loop client's next request follows its reply within
+/// microseconds; the long [`SHARD_POLL`] keeps an idle shard cheap.
+const SHARD_POLL_HOT: Duration = Duration::from_micros(20);
+
+/// How recently a connection must have delivered bytes for its shard to
+/// poll at the [`SHARD_POLL_HOT`] rate.
+const SHARD_HOT: Duration = Duration::from_millis(2);
 
 /// How often the streaming-trace drain thread empties the tracer's shard
 /// buffers into the incremental reconstructor.
@@ -310,11 +323,12 @@ impl ServerCtx {
         }
     }
 
-    /// Runs one request to completion on the current worker (helping on
-    /// touches, never blocking idle).  The lambda classes time their parse
-    /// → infer front half into the span's infer phase, so the telemetry
-    /// plane can show how much of a lambda request the compile cache
-    /// actually saves.
+    /// Runs one request to completion on the current worker.  While a touch
+    /// waits it helps only with queued work no lower than the request's
+    /// level (or the touched future's, if lower), and otherwise blocks — see
+    /// `Runtime::ftouch`.  The lambda classes time their parse → infer
+    /// front half into the span's infer phase, so the telemetry plane can
+    /// show how much of a lambda request the compile cache actually saves.
     fn execute(self: &Arc<Self>, req: Request, span: &mut RequestSpan) -> Response {
         match req {
             Request::App(AppOp::ProxyGet {
@@ -404,7 +418,7 @@ fn lambda_response(
 /// streams — reads are judged on the shard thread, writes on the reactor.
 struct Conn {
     stream: TcpStream,
-    writer: Arc<Mutex<TcpStream>>,
+    writer: Arc<Mutex<ConnWriter>>,
     buf: Vec<u8>,
     /// Read-side fault stream (shard thread only).
     read_fault: Option<FaultSession>,
@@ -413,6 +427,29 @@ struct Conn {
     /// Injected read delay: bytes already in `buf` are withheld from the
     /// parser until this instant.
     delay_until: Option<Instant>,
+}
+
+/// The write half of a connection.  It shares the non-blocking flag of the
+/// shard's read half, so a write into a full socket buffer waits and
+/// retries here instead of failing mid-frame: to the reactor it is a
+/// blocking socket.
+struct ConnWriter(TcpStream);
+
+impl Write for ConnWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        loop {
+            match self.0.write(buf) {
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(SHARD_POLL_HOT);
+                }
+                result => return result,
+            }
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.0.flush()
+    }
 }
 
 /// The TCP front end: a listener on loopback, shard threads, and the
@@ -726,7 +763,9 @@ fn accept_loop(
             return;
         }
         let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(SHARD_POLL));
+        if stream.set_nonblocking(true).is_err() {
+            continue; // dropping the stream closes it
+        }
         let conn_id = ctx
             .stats
             .connections_accepted
@@ -748,12 +787,13 @@ fn shard_loop(
 ) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut chunk = [0u8; 16 * 1024];
+    let mut last_read = Instant::now();
     while !shutdown.load(Ordering::SeqCst) {
         while let Ok((conn_id, stream)) = rx.try_recv() {
             match stream.try_clone() {
                 Ok(writer) => conns.push(Conn {
                     stream,
-                    writer: Arc::new(Mutex::new(writer)),
+                    writer: Arc::new(Mutex::new(ConnWriter(writer))),
                     buf: Vec::new(),
                     // Independent read- and write-side streams, so each
                     // side's verdicts stay a pure function of its own call
@@ -769,27 +809,37 @@ fn shard_loop(
                 Err(_) => continue, // dropping the stream closes it
             }
         }
-        if conns.is_empty() {
-            // No connection to poll-read on; sleep one poll interval so the
-            // idle shard does not spin on `try_recv`.
+        let mut read_any = false;
+        conns.retain_mut(|conn| match poll_conn(&ctx, conn, &mut chunk) {
+            Some(read) => {
+                read_any |= read;
+                true
+            }
+            None => false,
+        });
+        let now = Instant::now();
+        if read_any {
+            last_read = now;
+        } else if now - last_read < SHARD_HOT {
+            std::thread::sleep(SHARD_POLL_HOT);
+        } else {
             std::thread::sleep(SHARD_POLL);
-            continue;
         }
-        conns.retain_mut(|conn| poll_conn(&ctx, conn, &mut chunk));
     }
 }
 
 /// One poll of one connection: read whatever bytes are available (subject
 /// to the read-side fault verdict), then pump complete frames into
-/// [`dispatch`].  Returns `false` when the connection must be dropped.
-fn poll_conn(ctx: &Arc<ServerCtx>, conn: &mut Conn, chunk: &mut [u8]) -> bool {
-    match conn.stream.read(chunk) {
-        Ok(0) => return false, // peer closed
+/// [`dispatch`].  Returns whether bytes were read, or `None` when the
+/// connection must be dropped.
+fn poll_conn(ctx: &Arc<ServerCtx>, conn: &mut Conn, chunk: &mut [u8]) -> Option<bool> {
+    let read = match conn.stream.read(chunk) {
+        Ok(0) => return None, // peer closed
         Ok(n) => {
             let mut data = chunk[..n].to_vec();
             if let Some(fault) = conn.read_fault.as_mut() {
                 match fault.on_read(&mut data) {
-                    ReadFault::Disconnect => return false,
+                    ReadFault::Disconnect => return None,
                     ReadFault::Delay(d) => {
                         let until = Instant::now() + d;
                         conn.delay_until = Some(conn.delay_until.map_or(until, |t| t.max(until)));
@@ -798,26 +848,25 @@ fn poll_conn(ctx: &Arc<ServerCtx>, conn: &mut Conn, chunk: &mut [u8]) -> bool {
                 }
             }
             conn.buf.extend_from_slice(&data);
+            true
         }
-        Err(e)
-            if e.kind() == std::io::ErrorKind::WouldBlock
-                || e.kind() == std::io::ErrorKind::TimedOut => {}
-        Err(_) => return false,
-    }
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => false,
+        Err(_) => return None,
+    };
     if let Some(t) = conn.delay_until {
         if Instant::now() < t {
-            return true; // injected delay: withhold buffered bytes
+            return Some(read); // injected delay: withhold buffered bytes
         }
         conn.delay_until = None;
     }
     loop {
         match take_socket_frame(&mut conn.buf) {
             Ok(Some((id, body))) => dispatch(ctx, &conn.writer, &conn.write_fault, id, body),
-            Ok(None) => return true,
+            Ok(None) => return Some(read),
             // A malformed envelope cannot be re-synchronised; drop the
             // connection (malformed *bodies*, by contrast, get an error
             // response).
-            Err(_) => return false,
+            Err(_) => return None,
         }
     }
 }
@@ -893,7 +942,7 @@ fn trace_drain_step(ctx: &Arc<ServerCtx>, idle: &mut u32) {
 /// currently shed by admission control (`Overloaded`).
 fn dispatch(
     ctx: &Arc<ServerCtx>,
-    writer: &Arc<Mutex<TcpStream>>,
+    writer: &Arc<Mutex<ConnWriter>>,
     fault: &Option<Arc<Mutex<FaultSession>>>,
     id: u64,
     body: Vec<u8>,
@@ -901,7 +950,7 @@ fn dispatch(
     if body_is_admin(&body) {
         let resp = serve_admin(ctx, &body);
         let mut w = writer.lock();
-        write_admin_frame(&mut w, id, &resp);
+        write_admin_frame(&mut *w, id, &resp);
         return;
     }
     let mut span = RequestSpan::begin(id);
@@ -1002,7 +1051,7 @@ fn dispatch(
 #[allow(clippy::too_many_arguments)]
 fn respond(
     ctx: &Arc<ServerCtx>,
-    writer: &Arc<Mutex<TcpStream>>,
+    writer: &Arc<Mutex<ConnWriter>>,
     fault: &Option<Arc<Mutex<FaultSession>>>,
     id: u64,
     response: &Response,
@@ -1041,11 +1090,11 @@ fn respond(
                 frame.extend_from_slice(&id.to_be_bytes());
                 frame.extend_from_slice(&body);
                 let _ = w.write_all(&frame[..n.min(frame.len())]);
-                let _ = w.shutdown(Shutdown::Both);
+                let _ = w.0.shutdown(Shutdown::Both);
                 false
             }
             WriteFault::Disconnect => {
-                let _ = w.shutdown(Shutdown::Both);
+                let _ = w.0.shutdown(Shutdown::Both);
                 false
             }
         }
@@ -1136,7 +1185,7 @@ fn live_level_slack(ctx: &ServerCtx, level: usize) -> Option<f64> {
 /// connection.  Admin writes deliberately bypass the reactor *and* fault
 /// injection: telemetry must stay dependable while the data plane is
 /// wedged, draining, or under a fault plan.
-fn write_admin_frame(w: &mut TcpStream, id: u64, resp: &Response) -> bool {
+fn write_admin_frame(w: &mut impl Write, id: u64, resp: &Response) -> bool {
     write_socket_frame(w, id, &encode_response(resp)).is_ok()
 }
 
@@ -1197,8 +1246,9 @@ fn admin_loop(listener: TcpListener, ctx: Arc<ServerCtx>, shutdown: Arc<AtomicBo
             match listener.accept() {
                 Ok((stream, _)) => {
                     // Accepted sockets inherit the listener's non-blocking
-                    // flag on some platforms; admin reads want the same
-                    // poll-read discipline as the shards.
+                    // flag on some platforms; admin reads block for up to a
+                    // read timeout (rounded up to a scheduler tick), which a
+                    // handful of scrapers can afford.
                     let _ = stream.set_nonblocking(false);
                     let _ = stream.set_nodelay(true);
                     let _ = stream.set_read_timeout(Some(SHARD_POLL));

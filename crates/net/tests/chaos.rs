@@ -7,8 +7,11 @@
 //! `(seed, connection)` (see [`rp_apps::faults`]), so a failure
 //! reproduces under the same seed.
 //!
-//! The thread-leak checks count entries under `/proc/self/task`; since the
-//! test harness runs tests of one binary concurrently in one process, every
+//! The thread-leak checks count the server's threads under
+//! `/proc/self/task` — every thread `rp_net` and `rp_icilk` start is named
+//! `rp-…` or `icilk-…` — so the test harness's own threads, which come and
+//! go as it schedules tests around the gate, never count as leaks.  Since
+//! the harness runs tests of one binary concurrently in one process, every
 //! test takes a global lock and measures its baseline inside it.
 
 use rand::rngs::StdRng;
@@ -25,17 +28,23 @@ use rp_net::server::{NetServer, NetServerConfig};
 use rp_sim::latency::LatencyModel;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Serializes the tests so `/proc/self/task` baselines are not polluted by
-/// sibling tests' servers.
+/// sibling tests' servers.  A failing test poisons it; the others recover
+/// the guard, so one fault is reported once rather than as `PoisonError`s.
 static GATE: Mutex<()> = Mutex::new(());
 
+/// Live threads of this process started by the server or its runtimes.
 fn thread_count() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .map(|entries| entries.count())
-        .unwrap_or(0)
+    let Ok(entries) = std::fs::read_dir("/proc/self/task") else {
+        return 0;
+    };
+    entries
+        .filter_map(|e| std::fs::read_to_string(e.ok()?.path().join("comm")).ok())
+        .filter(|name| name.starts_with("rp-") || name.starts_with("icilk-"))
+        .count()
 }
 
 /// Asserts the process thread count settles back to at most `baseline`
@@ -135,7 +144,7 @@ fn drain_until_close(stream: &mut TcpStream, context: &str) {
 /// recoverable ones, and keep serving everyone else throughout.
 #[test]
 fn evil_clients_cannot_wedge_the_server() {
-    let _gate = GATE.lock().unwrap();
+    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let baseline = thread_count();
     let server = small_server(None);
     let addr = server.addr();
@@ -262,7 +271,7 @@ fn evil_clients_cannot_wedge_the_server() {
 /// and shutdown must reclaim every thread.
 #[test]
 fn server_side_faults_never_wedge_or_leak() {
-    let _gate = GATE.lock().unwrap();
+    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let baseline = thread_count();
     let server = small_server(Some(FaultConfig::chaos(0xFA_15_7E_5D, 0.05)));
     let addr = server.addr();
@@ -312,7 +321,7 @@ fn server_side_faults_never_wedge_or_leak() {
 /// parses.
 #[test]
 fn mutation_sweep_over_decode_never_panics_and_is_always_answered() {
-    let _gate = GATE.lock().unwrap();
+    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let baseline = thread_count();
     let bases = [
         encode_request(&Request::App(AppOp::JserverJob { class: 1, seed: 5 })),
@@ -412,7 +421,7 @@ fn mutation_sweep_over_decode_never_panics_and_is_always_answered() {
 /// dedicated thread must not leak on shutdown.
 #[test]
 fn mutated_admin_frames_never_wedge_the_admin_plane_or_touch_data_counters() {
-    let _gate = GATE.lock().unwrap();
+    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let baseline = thread_count();
     // Data-plane fault injection on: the admin plane must be immune to it.
     let server = small_server(Some(FaultConfig::chaos(0xAD_31_7E_57, 0.05)));
