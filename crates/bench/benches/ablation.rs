@@ -4,23 +4,28 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rp_icilk::master::{rebalance, MasterConfig};
-use rp_icilk::pool::{PoolKind, SharedState};
+use rp_icilk::pool::{PoolKind, SharedState, Task};
 use rp_icilk::priority::PrioritySet;
 use std::sync::atomic::Ordering;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Number of rebalance rounds until a fully-busy top level is granted all
 /// cores, for a given master configuration.
 fn rounds_until_saturated(config: &MasterConfig, workers: usize) -> usize {
     let shared = SharedState::new(PrioritySet::numeric(3), workers, PoolKind::Prioritized);
+    // The top level has a deep backlog (never run)...
+    for _ in 0..64 {
+        shared.push_task(Task {
+            run: Box::new(|| {}),
+            level: 2,
+            enqueued_at: Instant::now(),
+            trace: None,
+        });
+    }
     for round in 1..=64 {
-        // The top level is always fully busy on whatever it was allotted and
-        // has a deep backlog.
-        let top = &shared.levels[2];
-        let allot = top.allotment.load(Ordering::Relaxed).max(1) as u64;
-        top.busy_nanos
-            .store(allot * config.quantum.as_nanos() as u64, Ordering::Relaxed);
-        top.pending.store(64, Ordering::Relaxed);
+        // ...and is always fully busy on whatever it was allotted.
+        let allot = shared.levels[2].allotment.load(Ordering::Relaxed).max(1) as u64;
+        shared.record_busy(2, allot * config.quantum.as_nanos() as u64);
         rebalance(&shared, config);
         if shared.levels[2].allotment.load(Ordering::Relaxed) >= workers {
             return round;

@@ -1,7 +1,8 @@
 //! Source-level mutation testing of the workspace's hot paths, in the
-//! spirit of Mull: mechanically mutate the scheduler, solver, tracer, and
-//! bound-check implementations, rerun each module's own test suite against
-//! every mutant, and report the mutants the suite fails to kill.
+//! spirit of Mull: mechanically mutate the scheduler, solver, tracer,
+//! bound-check and runtime-pool implementations, rerun each module's own
+//! test suite against every mutant, and report the mutants the suite fails
+//! to kill.
 //!
 //! A *surviving* mutant is a hole in the test suite: a semantic change to a
 //! hot path that no targeted test notices.  The campaign does not demand
@@ -30,7 +31,7 @@ use std::time::{Duration, Instant};
 /// responsible for killing its mutants.
 #[derive(Debug, Clone, Copy)]
 pub struct MutationTarget {
-    /// Short module label (`scheduler`, `solver`, `tracer`, `bound`).
+    /// Short module label (`scheduler`, `solver`, `tracer`, `bound`, `pool`).
     pub module: &'static str,
     /// Cargo package the file belongs to.
     pub package: &'static str,
@@ -44,9 +45,10 @@ pub struct MutationTarget {
     pub functions: &'static [(&'static str, Option<&'static str>)],
 }
 
-/// The four hot paths under test: the bucketed prompt scheduler, the
+/// The five hot paths under test: the bucketed prompt scheduler, the
 /// priority-constraint solver, the trace reconstructor's schedule builder,
-/// and the Theorem 2.3 bound check.
+/// the Theorem 2.3 bound check, and the runtime's push / help-pop / park
+/// paths.
 pub const TARGETS: &[MutationTarget] = &[
     MutationTarget {
         module: "scheduler",
@@ -78,6 +80,17 @@ pub const TARGETS: &[MutationTarget] = &[
             ("report_with", None),
             ("check_schedule", None),
             ("is_counterexample", Some("false")),
+        ],
+    },
+    MutationTarget {
+        module: "pool",
+        package: "rp-icilk",
+        file: "crates/icilk/src/pool.rs",
+        test_filter: "pool::tests",
+        functions: &[
+            ("push_task", None),
+            ("pop_task", Some("None")),
+            ("park", None),
         ],
     },
 ];

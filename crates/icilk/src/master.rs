@@ -13,10 +13,12 @@
 //!    accordingly (left-over cores go to the lowest level, so every worker
 //!    has an assignment).
 //!
-//! An assignment is a preference, not a fence: a worker with nothing at
-//! its level runs other levels, and one with nothing at all parks (see
-//! [`crate::pool`]).  A parked worker records no busy time, so its level's
-//! utilization — and next its desire — falls.
+//! An assignment is a preference, not a fence: it decides where an idle
+//! worker looks first, not where a spawn goes (children go on the spawning
+//! worker's deque, see [`crate::pool`]); a worker with nothing at its level
+//! runs other levels, and one with nothing at all parks.  A parked worker
+//! records no busy time, so its level's utilization — and next its desire —
+//! falls.
 
 use crate::pool::SharedState;
 use std::sync::atomic::Ordering;
@@ -46,21 +48,25 @@ impl Default for MasterConfig {
     }
 }
 
-/// One master re-evaluation: reads and resets the per-level busy counters,
-/// updates desires, and recomputes allotments and the worker→level
-/// assignment.  Extracted from the master loop so it can be unit-tested
-/// without threads.
+/// One master re-evaluation: reads each level's pending count and busy time
+/// through [`SharedState::level_load`], updates desires, and recomputes
+/// allotments and the worker→level assignment.  Extracted from the master
+/// loop so it can be unit-tested without threads.
 pub fn rebalance(shared: &SharedState, config: &MasterConfig) {
     let quantum_nanos = config.quantum.as_nanos().max(1) as f64;
     let num_levels = shared.levels.len();
     let num_workers = shared.num_workers;
 
     // Step 1 & 2: utilization and desire updates.
-    for level in shared.levels.iter() {
-        let busy = level.busy_nanos.swap(0, Ordering::Relaxed) as f64;
+    for (level_ix, level) in shared.levels.iter().enumerate() {
+        let load = shared.level_load(level_ix);
+        // The busy counter only grows: this quantum's share is its growth
+        // since the previous quantum.
+        let seen = level.busy_seen.swap(load.busy_nanos, Ordering::Relaxed);
+        let busy = load.busy_nanos.saturating_sub(seen) as f64;
         let allotment = level.allotment.load(Ordering::Relaxed);
         let desire = level.desire.load(Ordering::Relaxed).max(1);
-        let pending = level.pending.load(Ordering::Relaxed);
+        let pending = load.pending;
         let capacity = (allotment.max(1) as f64) * quantum_nanos;
         let utilization = (busy / capacity).min(1.0);
         let satisfied = allotment >= desire;
@@ -130,7 +136,7 @@ pub fn spawn_master(shared: &Arc<SharedState>, config: MasterConfig) -> JoinHand
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::{PoolKind, SharedState};
+    use crate::pool::{PoolKind, SharedState, Task};
     use crate::priority::PrioritySet;
 
     fn shared(workers: usize) -> Arc<SharedState> {
@@ -141,6 +147,20 @@ mod tests {
         )
     }
 
+    /// Gives `level` `quanta` quanta of busy time and `pending` queued
+    /// tasks, through the same calls the workers make.
+    fn load(s: &SharedState, config: &MasterConfig, level: usize, quanta: u64, pending: usize) {
+        s.record_busy(level, quanta * config.quantum.as_nanos() as u64);
+        for _ in 0..pending {
+            s.push_task(Task {
+                run: Box::new(|| {}),
+                level,
+                enqueued_at: std::time::Instant::now(),
+                trace: None,
+            });
+        }
+    }
+
     #[test]
     fn high_priority_levels_get_cores_first() {
         let s = shared(4);
@@ -148,17 +168,11 @@ mod tests {
         // Pretend the high level was fully busy and wants more.
         s.levels[2].desire.store(3, Ordering::Relaxed);
         s.levels[2].allotment.store(3, Ordering::Relaxed);
-        s.levels[2]
-            .busy_nanos
-            .store(3 * config.quantum.as_nanos() as u64, Ordering::Relaxed);
-        s.levels[2].pending.store(5, Ordering::Relaxed);
+        load(&s, &config, 2, 3, 5);
         // The low level also wants everything.
         s.levels[0].desire.store(4, Ordering::Relaxed);
         s.levels[0].allotment.store(1, Ordering::Relaxed);
-        s.levels[0]
-            .busy_nanos
-            .store(config.quantum.as_nanos() as u64, Ordering::Relaxed);
-        s.levels[0].pending.store(5, Ordering::Relaxed);
+        load(&s, &config, 0, 1, 5);
         rebalance(&s, &config);
         let hi = s.levels[2].allotment.load(Ordering::Relaxed);
         let lo = s.levels[0].allotment.load(Ordering::Relaxed);
@@ -174,16 +188,29 @@ mod tests {
         let config = MasterConfig::default();
         s.levels[1].desire.store(1, Ordering::Relaxed);
         s.levels[1].allotment.store(1, Ordering::Relaxed);
-        s.levels[1]
-            .busy_nanos
-            .store(config.quantum.as_nanos() as u64, Ordering::Relaxed);
-        s.levels[1].pending.store(3, Ordering::Relaxed);
+        load(&s, &config, 1, 1, 3);
         rebalance(&s, &config);
         assert_eq!(
             s.levels[1].desire.load(Ordering::Relaxed),
             2,
             "γ = 2 doubles"
         );
+    }
+
+    #[test]
+    fn busy_time_counts_in_one_quantum_only() {
+        let s = shared(4);
+        let config = MasterConfig::default();
+        s.levels[1].allotment.store(1, Ordering::Relaxed);
+        load(&s, &config, 1, 1, 3);
+        rebalance(&s, &config);
+        assert_eq!(s.levels[1].desire.load(Ordering::Relaxed), 2);
+        // No new busy time: utilization is 0 and the desire halves, though
+        // the level's cumulative busy time has not changed.
+        s.levels[1].allotment.store(2, Ordering::Relaxed);
+        rebalance(&s, &config);
+        assert_eq!(s.levels[1].desire.load(Ordering::Relaxed), 1);
+        assert_eq!(s.level_load(1).busy_nanos, config.quantum.as_nanos() as u64);
     }
 
     #[test]
@@ -221,10 +248,7 @@ mod tests {
         };
         s.levels[2].desire.store(2, Ordering::Relaxed);
         s.levels[2].allotment.store(2, Ordering::Relaxed);
-        s.levels[2]
-            .busy_nanos
-            .store(2 * config.quantum.as_nanos() as u64, Ordering::Relaxed);
-        s.levels[2].pending.store(1, Ordering::Relaxed);
+        load(&s, &config, 2, 2, 1);
         rebalance(&s, &config);
         assert!(s.levels[2].desire.load(Ordering::Relaxed) <= 2);
         for _ in 0..5 {

@@ -4,15 +4,18 @@
 //! # Queue architecture
 //!
 //! In prioritized (I-Cilk) mode each worker owns a private work-stealing
-//! deque: tasks a worker spawns at its own assigned level go onto its deque
-//! (LIFO for the owner — locality), and idle workers steal the oldest task
-//! from a peer, preferring peers assigned to the highest-allotted priority
-//! level.  The per-level [`Injector`]s remain as the *injection/overflow*
-//! path: they receive tasks pushed from outside the worker pool (the
-//! original submission of every experiment) and tasks whose level differs
-//! from the spawning worker's current assignment.  The fast path — a worker
-//! spawning and then executing its own work — never touches a shared
-//! injector, so the injectors stop being the contended bottleneck.
+//! deque, and the spawn path is *work-first*: a task spawned at the level of
+//! the task running on the spawning worker goes onto that worker's deque
+//! (LIFO for the owner — the child its parent touches next is on top), and
+//! idle workers steal the oldest task from a peer, preferring peers
+//! assigned to the highest-allotted priority level.  The master's
+//! assignment no longer decides where a spawn goes; it steers where an idle
+//! worker looks first ([`SharedState::pop_for_worker`]).  The per-level
+//! [`Injector`]s remain as the *injection/overflow* path: they receive tasks
+//! pushed from outside the worker pool (the original submission of every
+//! experiment) and tasks spawned at a level other than the spawner's own.
+//! A fork–join, spawned and touched on one worker, never touches a shared
+//! injector.
 //!
 //! In oblivious (Cilk-F stand-in) mode everything still funnels through one
 //! global FIFO, deliberately: that contention is part of the baseline being
@@ -28,21 +31,30 @@
 //! The `min` keeps an untyped inversion (a touch of a lower-level future)
 //! able to run the very task it waits for.  Oblivious mode ignores the floor.
 //!
+//! Within the floor the helper looks in priority order, with its own deque
+//! slotted in at its running level L: the injectors *above* L from the top
+//! down (a queued ping still preempts a flood), then its own deque, newest
+//! first (usually the very child being touched), then the injectors from L
+//! down to the floor, then the peers' deques.  Each injector keeps a count
+//! of its tasks, so the scan of empty ones on every touch only reads.
+//!
 //! # Parking
 //!
 //! A worker with nothing to run parks on a per-runtime condvar
-//! (`SharedState::park`).  [`SharedState::push_task`] wakes one only when
-//! the task would otherwise sit unseen: when it comes from outside the pool,
-//! or when its queue already held a task.  A single child pushed by a worker
-//! is left for that worker, which will touch or pop it next — the spawn path
-//! costs no syscall.
+//! (`SharedState::park`).  [`SharedState::push_task`] calls for a wake-up
+//! only when the task would otherwise sit unseen: when it comes from outside
+//! the pool, or when its queue already held a task.  A single child pushed
+//! by a worker is left for that worker, which will touch or pop it next.
+//! Even a wake-up call costs only a fence and a read of the parked count
+//! when nobody is parked, and the task counters are per-thread slots, so
+//! the spawn path writes no cache line another core writes.
 
-use crate::metrics::MetricsCollector;
+use crate::metrics::{thread_ordinal, MetricsCollector, DEFAULT_SHARDS};
 use crate::priority::PrioritySet;
 use crate::trace::TraceCollector;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -67,30 +79,116 @@ impl std::fmt::Debug for Task {
     }
 }
 
-/// The queue and scheduler counters of one priority level.
+/// The queue and scheduler state of one priority level.  Its task and busy
+/// counters live in per-thread slots, read through
+/// [`SharedState::level_load`].
 #[derive(Debug)]
 pub struct LevelPool {
-    /// The level's injection/overflow queue (see the module docs).
-    pub injector: Injector<Task>,
-    /// Nanoseconds of useful work performed for this level in the current
-    /// scheduling quantum.
-    pub busy_nanos: AtomicU64,
+    /// The level's injection/overflow queue (see the module docs); pushed
+    /// through `SharedState::inject` only, which keeps `queued`.
+    injector: Injector<Task>,
+    /// Tasks in `injector`, counted before a push and after a pop: zero
+    /// means empty, so a helper scanning the injectors on every touch skips
+    /// an empty one without writing its lock's cache line.
+    queued: AtomicUsize,
     /// The level's desire (number of cores it wants next quantum).
     pub desire: AtomicUsize,
     /// The level's current allotment (cores assigned this quantum).
     pub allotment: AtomicUsize,
-    /// Tasks currently queued or running at this level.
-    pub pending: AtomicUsize,
+    /// The level's busy nanoseconds as of the master's last quantum; only
+    /// the master writes it.
+    pub(crate) busy_seen: AtomicU64,
 }
 
 impl LevelPool {
     fn new() -> Self {
         LevelPool {
             injector: Injector::new(),
-            busy_nanos: AtomicU64::new(0),
+            queued: AtomicUsize::new(0),
             desire: AtomicUsize::new(1),
             allotment: AtomicUsize::new(0),
-            pending: AtomicUsize::new(0),
+            busy_seen: AtomicU64::new(0),
+        }
+    }
+}
+
+/// What the counter slots say about one level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LevelLoad {
+    /// Tasks pushed and not yet finished (queued or running).
+    pub pending: usize,
+    /// Nanoseconds of task execution recorded at the level since start.
+    pub busy_nanos: u64,
+}
+
+/// The three monotone counters kept per slot and level.
+#[derive(Debug, Clone, Copy)]
+enum Counter {
+    Pushed = 0,
+    Finished = 1,
+    BusyNanos = 2,
+}
+
+/// Counters per line: 128 bytes, padded and aligned like a
+/// [`MetricsCollector`] shard, so two slots never share a cache line.
+const LINE_CELLS: usize = 16;
+
+#[derive(Debug)]
+#[repr(align(128))]
+struct CounterLine([AtomicU64; LINE_CELLS]);
+
+/// Per-level task counters, one slot per recording thread (threads map to
+/// slots as they do to metrics shards).  Every counter only grows, so a
+/// reader sums the slots without stopping the writers.
+#[derive(Debug)]
+struct LevelCounters {
+    lines: Box<[CounterLine]>,
+    lines_per_slot: usize,
+    slot_mask: usize,
+    levels: usize,
+}
+
+impl LevelCounters {
+    fn new(levels: usize) -> Self {
+        let lines_per_slot = (3 * levels).div_ceil(LINE_CELLS);
+        let lines = (0..DEFAULT_SHARDS * lines_per_slot)
+            .map(|_| CounterLine(std::array::from_fn(|_| AtomicU64::new(0))))
+            .collect();
+        LevelCounters {
+            lines,
+            lines_per_slot,
+            slot_mask: DEFAULT_SHARDS - 1,
+            levels,
+        }
+    }
+
+    fn cell(&self, slot: usize, counter: Counter, level: usize) -> &AtomicU64 {
+        let i = slot * self.lines_per_slot * LINE_CELLS + counter as usize * self.levels + level;
+        &self.lines[i / LINE_CELLS].0[i % LINE_CELLS]
+    }
+
+    /// Adds `n` to this thread's slot.  Release, so a reader that sees a
+    /// task's finish also sees its push.
+    fn add(&self, counter: Counter, level: usize, n: u64) {
+        self.cell(thread_ordinal() & self.slot_mask, counter, level)
+            .fetch_add(n, Ordering::Release);
+    }
+
+    fn sum(&self, counter: Counter, level: usize) -> u64 {
+        (0..=self.slot_mask)
+            .map(|slot| self.cell(slot, counter, level).load(Ordering::Acquire))
+            .sum()
+    }
+
+    /// Sums the slots for `level`.  Finishes are read before pushes: a task
+    /// whose finish is counted has its push counted too, so a task pending
+    /// when the reads begin is never missed.
+    fn load(&self, level: usize) -> LevelLoad {
+        let finished = self.sum(Counter::Finished, level);
+        let pushed = self.sum(Counter::Pushed, level);
+        LevelLoad {
+            pending: pushed.saturating_sub(finished) as usize,
+            busy_nanos: self.sum(Counter::BusyNanos, level),
         }
     }
 }
@@ -159,15 +257,16 @@ pub struct SharedState {
     deques: Mutex<Vec<Option<Worker<Task>>>>,
     /// Set when the runtime is shutting down.
     pub shutdown: AtomicBool,
-    /// Bumped by every push that may wake a parked worker; a worker parks
-    /// only if it is unchanged since the worker last looked for work.
-    push_epoch: AtomicU64,
     /// Workers currently inside [`SharedState::park`].
     parked: AtomicUsize,
     /// Calls to [`SharedState::park`] since start.
     parks: AtomicU64,
-    park_lock: Mutex<()>,
+    /// The wake epoch: bumped by every wake-up of a parked worker; a parked
+    /// worker sleeps until it changes.
+    park_lock: Mutex<u64>,
     park_cv: Condvar,
+    /// Per-thread task and busy-time counters (see [`LevelLoad`]).
+    counters: LevelCounters,
     /// Per-level task statistics.
     pub metrics: MetricsCollector,
     /// The execution tracer, when tracing is enabled.
@@ -192,6 +291,7 @@ impl SharedState {
     ) -> Arc<Self> {
         let levels = (0..priorities.len()).map(|_| LevelPool::new()).collect();
         let metrics = MetricsCollector::new(priorities.len());
+        let counters = LevelCounters::new(priorities.len());
         // Initially every worker serves the highest level; the master
         // rebalances at the end of the first quantum.
         let top = priorities.len() - 1;
@@ -207,11 +307,11 @@ impl SharedState {
             stealers,
             deques: Mutex::new(deques.into_iter().map(Some).collect()),
             shutdown: AtomicBool::new(false),
-            push_epoch: AtomicU64::new(0),
             parked: AtomicUsize::new(0),
             parks: AtomicU64::new(0),
-            park_lock: Mutex::new(()),
+            park_lock: Mutex::new(0),
             park_cv: Condvar::new(),
+            counters,
             metrics,
             trace,
             num_workers,
@@ -252,8 +352,7 @@ impl SharedState {
         });
         if let Some(local) = local {
             while let Some(task) = local.deque.pop() {
-                let level = task.level.min(self.levels.len() - 1);
-                self.levels[level].injector.push(task);
+                self.inject(task);
             }
         }
     }
@@ -268,36 +367,45 @@ impl SharedState {
         LOCAL_DEQUE.with(|slot| f(slot.borrow().as_ref().filter(|l| l.owner == self.addr())))
     }
 
+    /// The level of the task of this runtime running on this thread, if any.
+    fn running_level(&self) -> Option<usize> {
+        RUNNING_LEVEL
+            .with(Cell::get)
+            .filter(|&(owner, _)| owner == self.addr())
+            .map(|(_, level)| level)
+    }
+
     /// Enqueues a task.
     ///
     /// Prioritized mode fast path: when called from a worker thread of this
-    /// runtime whose current assignment matches the task's level, the task
-    /// goes onto that worker's private deque; otherwise (external
-    /// submission, or a spawn at a different level) it goes to the level's
-    /// injection queue.  Oblivious mode always uses the global FIFO.
+    /// runtime running a task at the new task's level, the task goes onto
+    /// that worker's private deque; otherwise (external submission, or a
+    /// spawn at another level) it goes to the level's injection queue.
+    /// Oblivious mode always uses the global FIFO.
     ///
     /// A parked worker is woken only for a push from outside the pool or
     /// onto a queue that already held a task (see the module docs).
     pub fn push_task(&self, task: Task) {
         let level = task.level.min(self.levels.len() - 1);
-        self.levels[level].pending.fetch_add(1, Ordering::Relaxed);
+        self.counters.add(Counter::Pushed, level, 1);
         let wake = self.with_local(|local| {
             let queue_was_busy = match local {
                 Some(l)
                     if self.kind == PoolKind::Prioritized
-                        && self.assignment[l.worker_id].load(Ordering::Relaxed) == level =>
+                        && self.running_level() == Some(level) =>
                 {
                     let busy = !l.deque.is_empty();
                     l.deque.push(task);
                     busy
                 }
+                _ if self.kind == PoolKind::Prioritized => {
+                    let busy = self.levels[level].queued.load(Ordering::Relaxed) > 0;
+                    self.inject(task);
+                    busy
+                }
                 _ => {
-                    let queue = match self.kind {
-                        PoolKind::Prioritized => &self.levels[level].injector,
-                        PoolKind::Oblivious => &self.global,
-                    };
-                    let busy = !queue.is_empty();
-                    queue.push(task);
+                    let busy = !self.global.is_empty();
+                    self.global.push(task);
                     busy
                 }
             };
@@ -308,20 +416,34 @@ impl SharedState {
         }
     }
 
-    /// Wakes one parked worker, if any.  Bumps the push epoch first, so a
-    /// worker between its last look for work and its park does not sleep.
+    /// Wakes one parked worker, if any.  The fence pairs with the one in
+    /// [`SharedState::park`]: either this read sees the parker counted, or
+    /// the parker's look at the queues sees the task just pushed.  With
+    /// nobody parked it writes nothing.
     fn wake_one(&self) {
-        self.push_epoch.fetch_add(1, Ordering::SeqCst);
-        if self.parked.load(Ordering::SeqCst) > 0 {
-            let _guard = self.park_guard();
+        fence(Ordering::SeqCst);
+        if self.parked.load(Ordering::Relaxed) > 0 {
+            let mut epoch = self.park_guard();
+            *epoch += 1;
             self.park_cv.notify_one();
         }
     }
 
-    fn park_guard(&self) -> MutexGuard<'_, ()> {
+    fn park_guard(&self) -> MutexGuard<'_, u64> {
         self.park_lock
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Whether an injector holds a task, or a worker's deque at least
+    /// `min_deque_len` tasks.
+    fn queued_work(&self, min_deque_len: usize) -> bool {
+        !self.global.is_empty()
+            || self
+                .levels
+                .iter()
+                .any(|l| l.queued.load(Ordering::Relaxed) > 0)
+            || self.stealers.iter().any(|s| s.len() >= min_deque_len)
     }
 
     /// Wakes a parked worker when tasks are queued.  Called by a task
@@ -329,38 +451,32 @@ impl SharedState {
     /// queued work below the floor (or a lone child nobody was woken for)
     /// goes to a core that is free to run it.
     pub(crate) fn wake_for_queued_work(&self) {
-        if self.parked.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        let queued = !self.global.is_empty()
-            || self.levels.iter().any(|l| !l.injector.is_empty())
-            || self.stealers.iter().any(|s| !s.is_empty());
-        if queued {
+        if self.queued_work(1) {
             self.wake_one();
         }
     }
 
-    /// The current push epoch.  A worker reads it, looks for work once
-    /// more, and passes it to [`SharedState::park`].
-    pub(crate) fn push_epoch(&self) -> u64 {
-        self.push_epoch.load(Ordering::SeqCst)
-    }
-
-    /// Parks the calling worker until a push that wakes workers, or
-    /// shutdown.  Returns at once if such a push happened since `epoch` was
-    /// read, so a task pushed between the worker's last look and this call
-    /// is never slept through.
-    pub(crate) fn park(&self, epoch: u64) {
+    /// Parks the calling worker until a wake-up or shutdown.  Counts itself
+    /// parked, then looks at the queues once more and does not sleep while
+    /// an injector holds a task or a deque two: a push that raced with the
+    /// worker's last look is seen here, or its pusher sees the parked count
+    /// and wakes it.  A deque's lone child is left for its spawner, which
+    /// runs it next, so it keeps no worker up.
+    pub(crate) fn park(&self) {
         self.parks.fetch_add(1, Ordering::Relaxed);
-        let mut guard = self.park_guard();
-        self.parked.fetch_add(1, Ordering::SeqCst);
-        while self.push_epoch.load(Ordering::SeqCst) == epoch && !self.is_shutting_down() {
-            guard = self
-                .park_cv
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
+        let mut epoch = self.park_guard();
+        let seen = *epoch;
+        self.parked.fetch_add(1, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        if !self.queued_work(2) {
+            while *epoch == seen && !self.is_shutting_down() {
+                epoch = self
+                    .park_cv
+                    .wait(epoch)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
         }
-        self.parked.fetch_sub(1, Ordering::SeqCst);
+        self.parked.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// How many times workers have parked since start.  An idle runtime
@@ -382,10 +498,8 @@ impl SharedState {
     /// this runtime running here.  A thread running no such task helps only
     /// at or above `touched`.
     pub(crate) fn help_floor(&self, touched: usize) -> usize {
-        RUNNING_LEVEL
-            .with(Cell::get)
-            .filter(|&(owner, _)| owner == self.addr())
-            .map_or(touched, |(_, level)| level.min(touched))
+        self.running_level()
+            .map_or(touched, |level| level.min(touched))
     }
 
     /// The pop path for worker threads: own deque first (newest-first,
@@ -426,21 +540,49 @@ impl SharedState {
     /// any task (oblivious mode, where priorities do not order the queue).
     /// Used by `ftouch`'s helping path with `SharedState::help_floor`.
     ///
-    /// In prioritized mode the helper scans the level injectors from the
-    /// highest priority down to `floor`, then steals from worker deques.  A
-    /// stolen task below the floor goes back to its level's injector, as a
-    /// worker's own pop does with stale backlog.
+    /// In prioritized mode, with L the level of the task running on this
+    /// thread (or `floor` when none runs): the injectors above L from the
+    /// highest priority down, then this worker's own deque newest-first,
+    /// then the injectors from L down to `floor`, then the peers' deques.
+    /// A task below the floor on the own deque stays there; one stolen from
+    /// a peer goes to its level's injector, as a worker's own pop does with
+    /// stale backlog.
     pub fn pop_task(&self, floor: usize) -> Option<Task> {
         match self.kind {
             PoolKind::Oblivious => self.pop_global(),
             PoolKind::Prioritized => {
-                let floor = floor.min(self.levels.len() - 1);
-                (floor..self.levels.len())
+                let top = self.levels.len() - 1;
+                let floor = floor.min(top);
+                let running = self.running_level().map_or(floor, |l| l.clamp(floor, top));
+                (running + 1..=top)
                     .rev()
                     .find_map(|level| self.pop_level(level))
-                    .or_else(|| self.steal_from_peers(None, floor))
+                    .or_else(|| self.pop_own(floor))
+                    .or_else(|| {
+                        (floor..=running)
+                            .rev()
+                            .find_map(|level| self.pop_level(level))
+                    })
+                    .or_else(|| {
+                        let own = self.with_local(|local| local.map(|l| l.worker_id));
+                        self.steal_from_peers(own, floor)
+                    })
             }
         }
+    }
+
+    /// Pops the newest task on this thread's own deque if it is at or above
+    /// `floor`; a task below it goes back where it was.
+    fn pop_own(&self, floor: usize) -> Option<Task> {
+        self.with_local(|local| {
+            let deque = &local?.deque;
+            let task = deque.pop()?;
+            if task.level >= floor {
+                return Some(task);
+            }
+            deque.push(task);
+            None
+        })
     }
 
     /// Pops from this thread's own deque, when it belongs to this runtime.
@@ -454,11 +596,10 @@ impl SharedState {
         self.with_local(|local| {
             let local = local?;
             while let Some(task) = local.deque.pop() {
-                let level = task.level.min(self.levels.len() - 1);
-                if level == assigned {
+                if task.level.min(self.levels.len() - 1) == assigned {
                     return Some(task);
                 }
-                self.levels[level].injector.push(task);
+                self.inject(task);
             }
             None
         })
@@ -470,25 +611,20 @@ impl SharedState {
     /// the most cores at the top of the order).
     ///
     /// With a `floor` above 0, peers assigned below it are skipped (their
-    /// deques hold work the caller may not run) except the caller's own
-    /// deque, which may still hold its children from an earlier assignment;
-    /// a stolen task below the floor goes back to its injector.
+    /// deques likely hold work the caller may not run).  A stolen task
+    /// below the floor goes back to its injector, and the peer is left
+    /// alone for this call rather than drained.
     fn steal_from_peers(&self, thief: Option<usize>, floor: usize) -> Option<Task> {
-        let own = self.with_local(|local| local.map(|l| l.worker_id));
-        for level in (0..self.levels.len()).rev() {
+        for level in (floor..self.levels.len()).rev() {
             for (peer, assigned) in self.assignment.iter().enumerate() {
-                if Some(peer) == thief
-                    || assigned.load(Ordering::Relaxed) != level
-                    || (level < floor && Some(peer) != own)
-                {
+                if Some(peer) == thief || assigned.load(Ordering::Relaxed) != level {
                     continue;
                 }
                 loop {
                     match self.stealers[peer].steal() {
                         Steal::Success(t) if t.level < floor => {
-                            self.levels[t.level.min(self.levels.len() - 1)]
-                                .injector
-                                .push(t);
+                            self.inject(t);
+                            break;
                         }
                         Steal::Success(t) => {
                             if let (Some(tc), Some(key)) = (&self.trace, t.trace) {
@@ -515,35 +651,60 @@ impl SharedState {
         }
     }
 
+    /// Pushes `task` onto its level's injector.  `queued` publishes nothing
+    /// (the injector's lock hands the task over), hence `Relaxed`; where a
+    /// reader must not miss it, in `park`, the SeqCst fences order it.
+    fn inject(&self, task: Task) {
+        let pool = &self.levels[task.level.min(self.levels.len() - 1)];
+        pool.queued.fetch_add(1, Ordering::Relaxed);
+        pool.injector.push(task);
+    }
+
     fn pop_level(&self, level: usize) -> Option<Task> {
+        let pool = &self.levels[level];
+        if pool.queued.load(Ordering::Relaxed) == 0 {
+            return None;
+        }
         loop {
-            match self.levels[level].injector.steal() {
-                Steal::Success(t) => return Some(t),
+            match pool.injector.steal() {
+                Steal::Success(t) => {
+                    pool.queued.fetch_sub(1, Ordering::Relaxed);
+                    return Some(t);
+                }
                 Steal::Empty => return None,
                 Steal::Retry => continue,
             }
         }
     }
 
-    /// Records that `nanos` of work were done for `level` this quantum.
+    /// Records that `nanos` of work were done for `level`.
     pub fn record_busy(&self, level: usize, nanos: u64) {
-        if let Some(l) = self.levels.get(level) {
-            l.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
+        if level < self.levels.len() {
+            self.counters.add(Counter::BusyNanos, level, nanos);
         }
     }
 
-    /// Marks a task at `level` as finished (for the pending counter).
+    /// Marks a task at `level` as finished (for the pending count).
     pub fn task_finished(&self, level: usize) {
-        if let Some(l) = self.levels.get(level) {
-            l.pending.fetch_sub(1, Ordering::Relaxed);
+        if level < self.levels.len() {
+            self.counters.add(Counter::Finished, level, 1);
         }
+    }
+
+    /// The pending task count and cumulative busy time of `level`, summed
+    /// over the per-thread counter slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level` is out of range.
+    pub fn level_load(&self, level: usize) -> LevelLoad {
+        assert!(level < self.levels.len(), "level {level} out of range");
+        self.counters.load(level)
     }
 
     /// Whether any task is pending anywhere.
     pub fn any_pending(&self) -> bool {
-        self.levels
-            .iter()
-            .any(|l| l.pending.load(Ordering::Relaxed) > 0)
+        (0..self.levels.len()).any(|level| self.level_load(level).pending > 0)
     }
 
     /// Signals shutdown to workers, the master, and the reactor, waking
@@ -596,19 +757,95 @@ mod tests {
         assert!(s.pop_task(0).is_none());
     }
 
+    /// Runs `f` on a fresh thread that is no worker of any runtime.
+    fn elsewhere<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+        std::thread::scope(|scope| scope.spawn(f).join().expect("helper thread"))
+    }
+
     #[test]
     fn helper_steal_returns_tasks_below_the_floor_to_their_injector() {
         let s = shared(PoolKind::Prioritized);
         let m = Arc::new(AtomicUsize::new(0));
         s.register_current_worker(0);
-        // Assigned to level 0, this worker's spawn lands on its own deque.
-        s.assignment[0].store(0, Ordering::Relaxed);
+        // A level-0 task running on worker 0 spawns onto its own deque,
+        // whatever the worker's assignment (still the top level here).
+        let running = s.enter_level(0);
         s.push_task(task(0, m.clone()));
+        drop(running);
         assert_eq!(s.stealers[0].len(), 1);
-        // A helper at floor 1 must not run it: the steal hands it back.
-        assert!(s.pop_task(1).is_none());
+        // A helper at floor 1 on another thread must not run it: the steal
+        // hands it to its injector.
+        assert!(elsewhere(|| s.pop_task(1)).is_none());
         assert_eq!(s.stealers[0].len(), 0);
         assert_eq!(s.levels[0].injector.len(), 1);
+        s.unregister_current_worker();
+    }
+
+    #[test]
+    fn a_child_goes_on_the_spawners_deque_whatever_the_assignment() {
+        let s = SharedState::new(PrioritySet::numeric(4), 2, PoolKind::Prioritized);
+        let m = Arc::new(AtomicUsize::new(0));
+        s.register_current_worker(0);
+        s.assignment[0].store(3, Ordering::Relaxed);
+        let running = s.enter_level(0);
+        s.push_task(task(0, m.clone()));
+        assert_eq!(s.stealers[0].len(), 1, "the child is on the deque");
+        assert!(s.levels[0].injector.is_empty(), "not in the injector");
+        // A spawn at another level than the running task's still overflows.
+        s.push_task(task(2, m.clone()));
+        assert_eq!(s.levels[2].injector.len(), 1);
+        drop(running);
+        s.unregister_current_worker();
+    }
+
+    /// A task that appends `label` to `log` when run.
+    fn logging(level: usize, label: &'static str, log: &Arc<Mutex<Vec<&'static str>>>) -> Task {
+        let log = Arc::clone(log);
+        Task {
+            run: Box::new(move || log.lock().unwrap().push(label)),
+            level,
+            enqueued_at: Instant::now(),
+            trace: None,
+        }
+    }
+
+    #[test]
+    fn helping_order_is_higher_injectors_then_own_deque_then_the_rest() {
+        let s = SharedState::new(PrioritySet::numeric(3), 2, PoolKind::Prioritized);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        // Queued from outside: one task below the running level 1, one at
+        // it, one above it.
+        for (level, label) in [(0, "below"), (1, "level 1"), (2, "above")] {
+            s.push_task(logging(level, label, &log));
+        }
+        s.register_current_worker(0);
+        let _running = s.enter_level(1);
+        s.push_task(logging(1, "older child", &log));
+        s.push_task(logging(1, "newer child", &log));
+        while let Some(t) = s.pop_task(1) {
+            (t.run)();
+        }
+        assert_eq!(
+            *log.lock().unwrap(),
+            ["above", "newer child", "older child", "level 1"]
+        );
+        assert_eq!(s.levels[0].injector.len(), 1, "below the floor");
+        s.unregister_current_worker();
+    }
+
+    #[test]
+    fn a_task_below_the_floor_stays_on_the_own_deque() {
+        let s = shared(PoolKind::Prioritized);
+        let m = Arc::new(AtomicUsize::new(0));
+        s.register_current_worker(0);
+        let running = s.enter_level(0);
+        s.push_task(task(0, m.clone()));
+        drop(running);
+        let _running = s.enter_level(1);
+        assert!(s.pop_task(1).is_none());
+        assert_eq!(s.stealers[0].len(), 1, "still on the deque");
+        assert!(s.levels[0].injector.is_empty());
+        assert_eq!(s.pop_task(0).map(|t| t.level), Some(0));
         s.unregister_current_worker();
     }
 
@@ -633,6 +870,41 @@ mod tests {
             assert_eq!(other.help_floor(1), 1);
         }
         assert_eq!(s.help_floor(1), 1);
+    }
+
+    #[test]
+    fn injector_counts_follow_every_push_and_pop() {
+        let s = shared(PoolKind::Prioritized);
+        let m = Arc::new(AtomicUsize::new(0));
+        let counts_match = |s: &SharedState| {
+            s.levels
+                .iter()
+                .all(|l| l.queued.load(Ordering::SeqCst) == l.injector.len())
+        };
+        s.push_task(task(0, m.clone()));
+        s.push_task(task(1, m.clone()));
+        assert!(counts_match(&s));
+        // Stale backlog re-injected by a reassigned worker, then drained
+        // by its exit.
+        s.register_current_worker(0);
+        let running = s.enter_level(1);
+        for _ in 0..3 {
+            s.push_task(task(1, m.clone()));
+        }
+        drop(running);
+        s.assignment[0].store(0, Ordering::Relaxed);
+        assert_eq!(s.pop_for_worker(0).map(|t| t.level), Some(0));
+        assert!(counts_match(&s));
+        assert_eq!(s.levels[1].queued.load(Ordering::SeqCst), 4);
+        while s.pop_task(0).is_some() {}
+        assert!(counts_match(&s));
+        assert_eq!(s.levels[1].queued.load(Ordering::SeqCst), 0);
+        let running = s.enter_level(1);
+        s.push_task(task(1, m.clone()));
+        drop(running);
+        s.unregister_current_worker();
+        assert!(counts_match(&s));
+        assert_eq!(s.levels[1].queued.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -662,31 +934,129 @@ mod tests {
     fn busy_accounting_and_shutdown_flag() {
         let s = shared(PoolKind::Prioritized);
         s.record_busy(1, 500);
-        assert_eq!(s.levels[1].busy_nanos.load(Ordering::Relaxed), 500);
+        // Recorded on another thread, so into another counter slot.
+        elsewhere(|| s.record_busy(1, 250));
+        assert_eq!(s.level_load(1).busy_nanos, 750);
+        assert_eq!(s.level_load(0).busy_nanos, 0);
         assert!(!s.is_shutting_down());
         s.request_shutdown();
         assert!(s.is_shutting_down());
         // A shut-down runtime never parks a worker.
-        s.park(s.push_epoch());
+        s.park();
+    }
+
+    #[test]
+    fn pending_counts_tasks_pushed_on_one_thread_and_finished_on_another() {
+        let s = shared(PoolKind::Prioritized);
+        let m = Arc::new(AtomicUsize::new(0));
+        for _ in 0..3 {
+            s.push_task(task(1, m.clone()));
+        }
+        assert_eq!(s.level_load(1).pending, 3);
+        elsewhere(|| {
+            while let Some(t) = s.pop_task(1) {
+                s.task_finished(t.level);
+            }
+        });
+        assert_eq!(s.level_load(1).pending, 0);
+        assert!(!s.any_pending());
+    }
+
+    /// Starts a thread parked on `s`, and returns once it is asleep on the
+    /// condvar (it holds the park lock from counting itself parked until
+    /// it waits).
+    fn parked_thread<'scope>(
+        scope: &'scope std::thread::Scope<'scope, '_>,
+        s: &'scope SharedState,
+    ) -> std::thread::ScopedJoinHandle<'scope, ()> {
+        let before = s.parked.load(Ordering::SeqCst);
+        let handle = scope.spawn(move || s.park());
+        let deadline = Instant::now() + std::time::Duration::from_secs(5);
+        while s.parked.load(Ordering::SeqCst) == before {
+            assert!(Instant::now() < deadline, "the thread never parked");
+            std::thread::yield_now();
+        }
+        drop(s.park_guard());
+        handle
+    }
+
+    /// Joins a thread from [`parked_thread`], failing (after shutting `s`
+    /// down to release it) unless it was woken within 5 s.
+    fn assert_woken(s: &SharedState, sleeper: std::thread::ScopedJoinHandle<'_, ()>) {
+        let deadline = Instant::now() + std::time::Duration::from_secs(5);
+        while !sleeper.is_finished() {
+            if Instant::now() >= deadline {
+                s.request_shutdown();
+                panic!("the parked thread was not woken");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        sleeper.join().unwrap();
     }
 
     #[test]
     fn only_external_pushes_and_pushes_onto_busy_queues_bump_the_epoch() {
         let s = shared(PoolKind::Prioritized);
         let m = Arc::new(AtomicUsize::new(0));
-        // From outside the pool: always.
-        let e0 = s.push_epoch();
+        let epoch = || *s.park_guard();
+        // Nobody parked: nothing to wake, even from outside the pool.
         s.push_task(task(1, m.clone()));
-        let e1 = s.push_epoch();
-        assert!(e1 > e0);
+        assert_eq!(epoch(), 0, "no sleeper, no wake-up");
         let _ = s.pop_task(0);
-        // A worker's lone child: never.
+        std::thread::scope(|scope| {
+            // From outside the pool: wakes the sleeper.
+            let sleeper = parked_thread(scope, &s);
+            s.push_task(task(1, m.clone()));
+            assert_woken(&s, sleeper);
+            assert_eq!(epoch(), 1);
+            let _ = s.pop_task(0);
+
+            s.register_current_worker(0);
+            let running = s.enter_level(1);
+            // A worker's lone child: left for the worker, so it neither
+            // wakes a sleeper nor keeps a worker about to park awake.
+            s.push_task(task(1, m.clone()));
+            let sleeper = parked_thread(scope, &s);
+            assert_eq!(epoch(), 1, "a lone child costs no wake-up");
+            assert_eq!(s.parked.load(Ordering::SeqCst), 1, "asleep");
+            // A second task on the same deque: the sleeper could run it.
+            s.push_task(task(1, m.clone()));
+            assert_woken(&s, sleeper);
+            assert_eq!(epoch(), 2);
+            while s.pop_task(1).is_some() {}
+
+            // A spawn at another level goes to that level's injector, by
+            // the same rule: a lone one is left, a second one wakes.
+            let sleeper = parked_thread(scope, &s);
+            s.push_task(task(0, m.clone()));
+            assert_eq!(epoch(), 2, "a lone injected task costs no wake-up");
+            s.push_task(task(0, m.clone()));
+            assert_woken(&s, sleeper);
+            assert_eq!(epoch(), 3);
+            drop(running);
+            s.unregister_current_worker();
+        });
+    }
+
+    /// The other half of the lost-wake-up check: a task whose push found
+    /// nobody parked keeps a worker that is about to park awake.
+    #[test]
+    fn a_worker_does_not_park_while_a_woken_for_task_is_queued() {
+        let s = shared(PoolKind::Prioritized);
+        let m = Arc::new(AtomicUsize::new(0));
+        // Pushed from outside: in an injector.
+        s.push_task(task(0, m.clone()));
+        elsewhere(|| s.park());
+        let _ = s.pop_task(0);
+        // A second child on a worker's deque.
         s.register_current_worker(0);
+        let running = s.enter_level(1);
         s.push_task(task(1, m.clone()));
-        assert_eq!(s.push_epoch(), e1, "a lone child costs no wake-up");
-        // A second task on the same deque: a peer could run it.
         s.push_task(task(1, m.clone()));
-        assert!(s.push_epoch() > e1);
+        drop(running);
+        elsewhere(|| s.park());
+        assert_eq!(s.parks(), 2);
+        assert_eq!(*s.park_guard(), 0, "nobody was parked to wake");
         s.unregister_current_worker();
     }
 
@@ -694,19 +1064,20 @@ mod tests {
     fn worker_local_spawn_uses_private_deque_and_is_stealable() {
         let s = shared(PoolKind::Prioritized);
         let m = Arc::new(AtomicUsize::new(0));
-        // Pretend this test thread is worker 0, assigned to level 1 (the
-        // initial assignment).
+        // Pretend this test thread is worker 0, running a level-1 task.
         s.register_current_worker(0);
+        let running = s.enter_level(1);
         s.push_task(task(1, m.clone()));
         s.push_task(task(1, m.clone()));
+        drop(running);
         // The tasks went to worker 0's deque, not the injector.
         assert!(s.levels[1].injector.is_empty());
         assert_eq!(s.stealers[0].len(), 2);
         // The owner pops newest-first from its own deque.
         assert!(s.pop_for_worker(0).is_some());
         assert_eq!(s.stealers[0].len(), 1);
-        // A peer (or helper) can steal the remainder.
-        let stolen = s.pop_task(0);
+        // A helper on another thread can steal the remainder.
+        let stolen = elsewhere(|| s.pop_task(0));
         assert!(stolen.is_some());
         assert_eq!(s.stealers[0].len(), 0);
         s.unregister_current_worker();
@@ -717,11 +1088,17 @@ mod tests {
         let s = shared(PoolKind::Prioritized);
         let m = Arc::new(AtomicUsize::new(0));
         s.register_current_worker(0);
-        // Worker 0 is assigned to level 1; a level-0 spawn must not hide in
-        // its deque (a level-0 worker would never find it there first).
+        // A level-1 task's level-0 spawn must not hide in the deque: a
+        // worker looking for level-0 work would not find it there first.
+        let running = s.enter_level(1);
         s.push_task(task(0, m.clone()));
         assert_eq!(s.stealers[0].len(), 0);
         assert_eq!(s.levels[0].injector.len(), 1);
+        // Nor does a push from a worker thread outside any task.
+        drop(running);
+        s.push_task(task(1, m.clone()));
+        assert_eq!(s.stealers[0].len(), 0);
+        assert_eq!(s.levels[1].injector.len(), 1);
         s.unregister_current_worker();
     }
 
@@ -730,7 +1107,9 @@ mod tests {
         let s = shared(PoolKind::Prioritized);
         let m = Arc::new(AtomicUsize::new(0));
         s.register_current_worker(0);
+        let running = s.enter_level(1);
         s.push_task(task(1, m.clone()));
+        drop(running);
         assert_eq!(s.stealers[0].len(), 1);
         s.unregister_current_worker();
         assert_eq!(s.stealers[0].len(), 0);
@@ -743,8 +1122,10 @@ mod tests {
         let m = Arc::new(AtomicUsize::new(0));
         s.register_current_worker(0);
         // Worker 0 starts assigned to level 1 and builds a local backlog.
+        let running = s.enter_level(1);
         s.push_task(task(1, m.clone()));
         s.push_task(task(1, m.clone()));
+        drop(running);
         assert_eq!(s.stealers[0].len(), 2);
         // The master reassigns worker 0 to level 0: the stale level-1 tasks
         // must flow back to the level-1 injector rather than being popped

@@ -314,10 +314,13 @@ impl Runtime {
     /// future at level F runs only queued tasks at level ≥ min(L, F), so a
     /// blocked high-priority task never runs lower-priority work on its own
     /// stack (the `min` still lets an untyped inversion run the task it
-    /// waits for).  A caller that is not running a task of this runtime
-    /// helps only at or above F.  With nothing eligible queued, the caller
-    /// wakes a parked worker for any queued work below the floor and waits
-    /// on the future.  The baseline scheduler helps without a floor.
+    /// waits for).  Within the floor it runs queued tasks above L first,
+    /// then its worker's own deque newest-first — usually the child being
+    /// touched — then the rest (see [`crate::pool`]).  A caller that is not
+    /// running a task of this runtime helps only at or above F.  With
+    /// nothing eligible queued, the caller wakes a parked worker for any
+    /// queued work below the floor and waits on the future.  The baseline
+    /// scheduler helps without a floor.
     ///
     /// # Example
     ///
@@ -596,6 +599,8 @@ mod tests {
     use super::*;
     use crate::define_priorities;
     use crate::future::PriorityCtx;
+    use rp_core::trace::TraceEvent;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     define_priorities!(Bg, Ui);
 
@@ -855,6 +860,102 @@ mod tests {
             rt2.ftouch(&low) * 2
         });
         assert_eq!(outer.wait_clone_timeout(Duration::from_secs(5)), Some(6));
+        shutdown_shared(rt);
+    }
+
+    /// Work-first helping order: a task blocked on its own child first runs
+    /// a queued higher-priority task, then the child from its own deque.
+    #[test]
+    fn blocked_touch_runs_a_queued_higher_task_before_its_own_child() {
+        let (rt, lo, hi) = one_worker_lo_hi();
+        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let (rt2, order2) = (Arc::clone(&rt), Arc::clone(&order));
+        let outer = rt.fcreate(lo, move || {
+            let order_child = Arc::clone(&order2);
+            let child = rt2.fcreate(lo, move || order_child.lock().push("child"));
+            let order_hi = Arc::clone(&order2);
+            let _ping = rt2.fcreate(hi, move || order_hi.lock().push("hi"));
+            rt2.ftouch(&child);
+            order2.lock().push("outer");
+        });
+        assert_eq!(outer.wait_clone_timeout(Duration::from_secs(5)), Some(()));
+        assert!(rt.drain(Duration::from_secs(5)));
+        assert_eq!(*order.lock(), vec!["hi", "child", "outer"]);
+        shutdown_shared(rt);
+    }
+
+    /// A binary fork–join tree of `depth` levels summing its leaves.
+    fn tree(rt: &Arc<Runtime>, p: Priority, depth: u32) -> u64 {
+        if depth == 0 {
+            return 1;
+        }
+        let rt2 = Arc::clone(rt);
+        let left = rt.fcreate(p, move || tree(&rt2, p, depth - 1));
+        let right = tree(rt, p, depth - 1);
+        rt.ftouch(&left) + right
+    }
+
+    /// Lost wake-up regression test: every tree is submitted to a runtime
+    /// whose workers have just run out of work and park, so a push that
+    /// races with a worker's last look for work is exercised thousands of
+    /// times.  A lost wake-up strands the root and times out.
+    #[test]
+    fn trees_submitted_from_outside_never_lose_a_wake_up() {
+        let rt = Arc::new(runtime(SchedulerKind::ICilk));
+        let bg = rt.priority_by_name("bg").unwrap();
+        for i in 0..5_000 {
+            let rt2 = Arc::clone(&rt);
+            let root = rt.fcreate(bg, move || tree(&rt2, bg, 4));
+            assert_eq!(
+                root.wait_clone_timeout(Duration::from_secs(5)),
+                Some(16),
+                "tree {i} stalled"
+            );
+        }
+        shutdown_shared(rt);
+    }
+
+    /// A worker's second queued child wakes a parked peer, which steals the
+    /// older one: the newer child, run first by its spawner, waits until
+    /// the older one has started elsewhere.
+    #[test]
+    fn a_parked_peer_wakes_for_a_second_queued_child_and_steals() {
+        let rt = Arc::new(Runtime::start(RuntimeConfig::new(2, 1).with_tracing(true)));
+        let p = rt.priority_by_index(0).unwrap();
+        // Let both workers park, so the steal needs the wake-up.  (An
+        // awake peer would steal too; the `started` flag, not this sleep,
+        // forces the interleaving the test checks.)
+        std::thread::sleep(Duration::from_millis(50));
+        let rt2 = Arc::clone(&rt);
+        let outer = rt.fcreate(p, move || {
+            let started = Arc::new(AtomicBool::new(false));
+            let flag = Arc::clone(&started);
+            let older = rt2.fcreate(p, move || flag.store(true, Ordering::SeqCst));
+            let newer = rt2.fcreate(p, move || {
+                let deadline = Instant::now() + Duration::from_secs(5);
+                while !started.load(Ordering::SeqCst) && Instant::now() < deadline {
+                    std::hint::spin_loop();
+                }
+                started.load(Ordering::SeqCst)
+            });
+            let stolen = rt2.ftouch(&newer);
+            rt2.ftouch(&older);
+            stolen
+        });
+        assert_eq!(
+            outer.wait_clone_timeout(Duration::from_secs(10)),
+            Some(true),
+            "the older child never started: the parked peer was not woken"
+        );
+        assert!(rt.drain(Duration::from_secs(5)));
+        let steals = rt
+            .trace_snapshot()
+            .expect("tracing on")
+            .events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Steal { .. }))
+            .count();
+        assert!(steals > 0, "no steal recorded");
         shutdown_shared(rt);
     }
 

@@ -33,10 +33,10 @@ pub fn execute_task(shared: &SharedState, task: crate::pool::Task) {
 
 /// The body of a worker thread.
 ///
-/// The worker claims its private work-stealing deque on entry; spawns it
-/// performs at its assigned level then bypass the shared injectors entirely
-/// (see [`SharedState::push_task`]).  On exit the deque's remaining tasks
-/// flow back to the injectors.
+/// The worker claims its private work-stealing deque on entry; a task it
+/// runs then spawns children at its own level onto that deque, bypassing the
+/// shared injectors (see [`SharedState::push_task`]).  On exit the deque's
+/// remaining tasks flow back to the injectors.
 pub fn worker_loop(shared: Arc<SharedState>, worker_id: usize) {
     /// Drains the worker's deque back to the injectors even when a task
     /// panics and unwinds the loop — queued tasks must survive a dying
@@ -51,16 +51,11 @@ pub fn worker_loop(shared: Arc<SharedState>, worker_id: usize) {
     shared.register_current_worker(worker_id);
     let _guard = DequeGuard(&shared);
     while !shared.is_shutting_down() {
-        if let Some(task) = shared.pop_for_worker(worker_id) {
-            execute_task(&shared, task);
-            continue;
-        }
-        // Read the epoch, then look once more: a push after the read
-        // changes the epoch and `park` returns at once.
-        let epoch = shared.push_epoch();
         match shared.pop_for_worker(worker_id) {
             Some(task) => execute_task(&shared, task),
-            None => shared.park(epoch),
+            // `park` looks at the queues again after counting itself
+            // parked, so a push racing with this miss is not slept through.
+            None => shared.park(),
         }
     }
 }

@@ -232,9 +232,26 @@ fn span_phase_invariants_hold_over_the_wire() {
         ..NetServerConfig::default()
     })
     .expect("server starts");
-    let load = mixed_load(48, 0);
-    let responses = roundtrip(server.addr(), &load);
-    assert_eq!(responses.len(), load.len());
+    // Two phases.  The slow log samples a level's live slack gauge as each
+    // entry is recorded, and the gauge is empty until the streaming
+    // reconstructor retires a first request subgraph — which one quick
+    // burst can finish ahead of.  So the second phase starts only once the
+    // first has retired, and the two together fit the 32-entry slow log,
+    // so every second-phase entry is in it.
+    let first = mixed_load(8, 0);
+    let second = mixed_load(24, 1);
+    assert!(first.len() + second.len() <= rp_net::span::DEFAULT_SLOW_LOG);
+    assert_eq!(roundtrip(server.addr(), &first).len(), first.len());
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while server.stats().retired_subgraphs == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no request subgraph retired within 10 s"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(roundtrip(server.addr(), &second).len(), second.len());
+    let load: Vec<Request> = first.into_iter().chain(second).collect();
     assert!(server.drain(Duration::from_secs(10)), "drain completes");
 
     let spans = server.spans();
