@@ -14,7 +14,7 @@
 use crate::analysis::Reachability;
 use crate::graph::{CostDag, ThreadId};
 use crate::metrics::{a_span_with, competitor_work_with};
-use crate::schedule::Schedule;
+use crate::schedule::{admissible_in, response_time_in, Schedule};
 use crate::strengthen::strengthening_with;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -91,7 +91,9 @@ impl BoundReport {
 /// depend on a schedule: the reachability relations, the well-formedness
 /// verdict, and the per-thread `(competitor work, a-span)` pairs (computed
 /// on demand and memoized, since the strengthening is inherently
-/// per-thread).
+/// per-thread).  The same relations answer Definition 4 through
+/// [`check_strongly_well_formed_with`](crate::wellformed::check_strongly_well_formed_with)
+/// on [`reachability`](Self::reachability).
 ///
 /// Callers that check bounds for several threads or several schedules of the
 /// same graph should build one `BoundAnalysis` and reuse it; the one-shot
@@ -157,17 +159,21 @@ impl<'g> BoundAnalysis<'g> {
         (w as f64 + (num_cores as f64 - 1.0) * s as f64) / num_cores as f64
     }
 
-    /// Builds the report for one thread, given schedule facts the caller has
-    /// already established.
-    fn report_with(
-        &self,
-        schedule: &Schedule,
-        a: ThreadId,
-        admissible: bool,
-        prompt: bool,
-    ) -> BoundReport {
+    /// The schedule facts every thread's report shares, each computed once.
+    fn facts(&self, schedule: &Schedule) -> ScheduleFacts {
+        let step_of = schedule.step_of(self.dag);
+        ScheduleFacts {
+            num_cores: schedule.num_cores,
+            admissible: admissible_in(self.dag, &step_of),
+            prompt: schedule.is_prompt(self.dag),
+            step_of,
+        }
+    }
+
+    /// Builds the report for one thread from the schedule's shared facts.
+    fn report_with(&self, facts: &ScheduleFacts, a: ThreadId) -> BoundReport {
         let (w, s) = self.thread_metrics(a);
-        let p = schedule.num_cores;
+        let p = facts.num_cores;
         let bound = (w as f64 + (p as f64 - 1.0) * s as f64) / p as f64;
         let adjusted_bound = (w as f64 + 2.0 + (p as f64 - 1.0) * (s as f64 + 1.0)) / p as f64;
         BoundReport {
@@ -177,35 +183,39 @@ impl<'g> BoundAnalysis<'g> {
             a_span: s,
             bound,
             adjusted_bound,
-            observed: schedule.response_time(self.dag, a),
-            admissible,
-            prompt,
+            observed: response_time_in(self.dag, &facts.step_of, a),
+            admissible: facts.admissible,
+            prompt: facts.prompt,
             well_formed: self.well_formed,
         }
     }
 
     /// Checks Theorem 2.3 for one thread against a concrete schedule.
     pub fn check(&self, schedule: &Schedule, a: ThreadId) -> BoundReport {
-        self.report_with(
-            schedule,
-            a,
-            schedule.is_admissible(self.dag),
-            schedule.is_prompt(self.dag),
-        )
+        self.report_with(&self.facts(schedule), a)
     }
 
     /// Checks Theorem 2.3 for every thread against a concrete schedule,
-    /// evaluating the admissibility and promptness of the schedule once.
+    /// evaluating the admissibility and promptness of the schedule, and the
+    /// step at which each vertex ran, once.
     ///
     /// The returned vector is indexed by thread id (`ThreadId::index`).
     pub fn check_all(&self, schedule: &Schedule) -> Vec<BoundReport> {
-        let admissible = schedule.is_admissible(self.dag);
-        let prompt = schedule.is_prompt(self.dag);
+        let facts = self.facts(schedule);
         self.dag
             .threads()
-            .map(|a| self.report_with(schedule, a, admissible, prompt))
+            .map(|a| self.report_with(&facts, a))
             .collect()
     }
+}
+
+/// What [`BoundAnalysis::check_all`] learns about a schedule once and shares
+/// across the per-thread reports.
+struct ScheduleFacts {
+    num_cores: usize,
+    step_of: Vec<Option<usize>>,
+    admissible: bool,
+    prompt: bool,
 }
 
 /// Computes the right-hand side of Theorem 2.3 for thread `a` on `P` cores.

@@ -127,13 +127,7 @@ impl Schedule {
     /// Whether the schedule is *admissible* for `dag`: for every weak edge
     /// `(u, u')`, `u` executes strictly before `u'` (Section 2.2).
     pub fn is_admissible(&self, dag: &CostDag) -> bool {
-        let step_of = self.step_of(dag);
-        dag.weak_edges()
-            .iter()
-            .all(|&(u, v)| match (step_of[u.index()], step_of[v.index()]) {
-                (Some(su), Some(sv)) => su < sv,
-                _ => false,
-            })
+        admissible_in(dag, &self.step_of(dag))
     }
 
     /// Whether the schedule is *prompt* for `dag`: at every step, ready
@@ -179,21 +173,7 @@ impl Schedule {
     ///
     /// Returns `None` if the thread's last vertex is never executed.
     pub fn response_time(&self, dag: &CostDag, a: ThreadId) -> Option<usize> {
-        let s = dag.first_vertex(a);
-        let t = dag.last_vertex(a);
-        let step_of = self.step_of(dag);
-        let end = step_of[t.index()]?;
-        // s becomes ready at the first step at the start of which all of its
-        // strong parents have executed.
-        let parents = dag.strong_parents(s);
-        let ready_step = parents
-            .iter()
-            .map(|p| step_of[p.index()].map(|j| j + 1))
-            .collect::<Option<Vec<_>>>()?
-            .into_iter()
-            .max()
-            .unwrap_or(0);
-        Some(end.saturating_sub(ready_step) + 1)
+        response_time_in(dag, &self.step_of(dag), a)
     }
 
     /// The number of steps during which at least one vertex of thread `a`
@@ -212,6 +192,37 @@ impl Schedule {
         let busy: usize = self.steps.iter().map(Vec::len).sum();
         busy as f64 / (self.steps.len() * self.num_cores) as f64
     }
+}
+
+/// [`Schedule::is_admissible`] given the schedule's
+/// [`step_of`](Schedule::step_of), so a caller asking several questions of
+/// one schedule computes that map once.
+pub(crate) fn admissible_in(dag: &CostDag, step_of: &[Option<usize>]) -> bool {
+    dag.weak_edges()
+        .iter()
+        .all(|&(u, v)| match (step_of[u.index()], step_of[v.index()]) {
+            (Some(su), Some(sv)) => su < sv,
+            _ => false,
+        })
+}
+
+/// [`Schedule::response_time`] given the schedule's
+/// [`step_of`](Schedule::step_of).
+pub(crate) fn response_time_in(
+    dag: &CostDag,
+    step_of: &[Option<usize>],
+    a: ThreadId,
+) -> Option<usize> {
+    let s = dag.first_vertex(a);
+    let t = dag.last_vertex(a);
+    let end = step_of[t.index()]?;
+    // s becomes ready at the first step at the start of which all of its
+    // strong parents have executed.
+    let mut ready_step = 0;
+    for p in dag.strong_parents(s) {
+        ready_step = ready_step.max(step_of[p.index()]? + 1);
+    }
+    Some(end.saturating_sub(ready_step) + 1)
 }
 
 #[cfg(test)]

@@ -169,10 +169,34 @@ pub fn check_well_formed_with(
 ///    (intuitively: the handle propagated to `u` by some chain not passing
 ///    through `a` itself).
 ///
+/// # Complexity
+///
+/// One [`Reachability`] analysis, `O(V·E/64)` time and `O(V²/64)` words,
+/// dominates.  Each ftouch or weak edge then costs `O(c·t)` bit lookups,
+/// with `c` the creator's continuation out-degree and `t` the target's
+/// continuation in-degree — at most one each, since continuation edges
+/// join consecutive vertices of one thread.  A caller that already holds
+/// the analysis (a [`BoundAnalysis`](crate::bound::BoundAnalysis), say)
+/// should call [`check_strongly_well_formed_with`] and skip the first term.
+///
 /// # Errors
 ///
 /// Returns the list of violations when the graph is not strongly well-formed.
 pub fn check_strongly_well_formed(dag: &CostDag) -> Result<(), Vec<WellFormedError>> {
+    let reach = Reachability::new(dag);
+    check_strongly_well_formed_with(dag, &reach)
+}
+
+/// Like [`check_strongly_well_formed`] but reuses an existing reachability
+/// analysis.
+///
+/// # Errors
+///
+/// Returns the list of violations when the graph is not strongly well-formed.
+pub fn check_strongly_well_formed_with(
+    dag: &CostDag,
+    reach: &Reachability,
+) -> Result<(), Vec<WellFormedError>> {
     let mut errors = Vec::new();
     let dom = dag.domain();
 
@@ -199,7 +223,7 @@ pub fn check_strongly_well_formed(dag: &CostDag) -> Result<(), Vec<WellFormedErr
             });
         }
         if let Some(creator) = dag.creator_of(src_thread) {
-            if !continuation_bracketed_path_exists(dag, creator, target) {
+            if !continuation_bracketed_path_exists(dag, reach, creator, target) {
                 errors.push(WellFormedError::UnknownThreadTouched {
                     touched: src_thread,
                     toucher: target,
@@ -217,7 +241,12 @@ pub fn check_strongly_well_formed(dag: &CostDag) -> Result<(), Vec<WellFormedErr
 /// Whether there is a path from `from` to `to` whose first and last edges are
 /// continuation edges (Definition 4, condition 3).  A path of length one must
 /// be a single continuation edge.
-fn continuation_bracketed_path_exists(dag: &CostDag, from: VertexId, to: VertexId) -> bool {
+fn continuation_bracketed_path_exists(
+    dag: &CostDag,
+    reach: &Reachability,
+    from: VertexId,
+    to: VertexId,
+) -> bool {
     // A single continuation edge (from, to) is itself such a path.
     if dag
         .out_edges(from)
@@ -228,7 +257,6 @@ fn continuation_bracketed_path_exists(dag: &CostDag, from: VertexId, to: VertexI
     // Otherwise: step over a first continuation edge out of `from`, step back
     // over a last continuation edge into `to`, and ask for ordinary
     // reachability between the two frontiers.
-    let reach = Reachability::new(dag);
     let starts: Vec<VertexId> = dag
         .out_edges(from)
         .filter(|e| e.kind == EdgeKind::Continuation)
@@ -248,9 +276,9 @@ fn continuation_bracketed_path_exists(dag: &CostDag, from: VertexId, to: VertexI
 /// well-formedness; this helper checks both and reports whether each holds,
 /// for use in property tests.
 pub fn lemma_3_4_holds(dag: &CostDag) -> bool {
-    let strong = check_strongly_well_formed(dag).is_ok();
-    let weak = check_well_formed(dag).is_ok();
-    !strong || weak
+    let reach = Reachability::new(dag);
+    check_strongly_well_formed_with(dag, &reach).is_err()
+        || check_well_formed_with(dag, &reach).is_ok()
 }
 
 #[cfg(test)]
@@ -321,8 +349,8 @@ mod tests {
         assert!(check_well_formed(&g).is_ok());
     }
 
-    #[test]
-    fn touch_priority_inversion_detected() {
+    /// `main` (hi) creates `bg` (lo) and touches it.
+    fn inverted_touch() -> CostDag {
         let d = dom();
         let hi = d.priority("hi").unwrap();
         let lo = d.priority("lo").unwrap();
@@ -334,7 +362,254 @@ mod tests {
         let _bg0 = b.vertex(bg);
         b.fcreate(m0, bg).unwrap();
         b.ftouch(bg, m1).unwrap();
-        let g = b.build().unwrap();
+        b.build().unwrap()
+    }
+
+    /// Thread `c` is created by thread `b`, and thread `a` touches `c`.
+    /// With `handle`, `b` writes and `a` reads `c`'s handle first (a weak
+    /// edge), which is the propagation path Definition 4 asks for.
+    fn third_party_touch(handle: bool) -> CostDag {
+        let d = dom();
+        let hi = d.priority("hi").unwrap();
+        let mut b = DagBuilder::new(d);
+        let a = b.thread("a", hi);
+        let bt = b.thread("b", hi);
+        let c = b.thread("c", hi);
+        let a0 = b.vertex(a);
+        let a_read = b.vertex(a);
+        let a1 = b.vertex(a);
+        let b0 = b.vertex(bt);
+        let b_write = b.vertex(bt);
+        let _c0 = b.vertex(c);
+        b.fcreate(a0, bt).unwrap();
+        b.fcreate(b0, c).unwrap();
+        if handle {
+            b.weak(b_write, a_read).unwrap();
+        }
+        b.ftouch(c, a1).unwrap();
+        b.build().unwrap()
+    }
+
+    /// One vertex creates `c` and `d`, and `d`'s first vertex touches `c`:
+    /// the only path from the creator is `d`'s create edge, which is not a
+    /// continuation edge, so `d` does not know about `c`.
+    fn sibling_touch() -> CostDag {
+        let d = dom();
+        let hi = d.priority("hi").unwrap();
+        let mut b = DagBuilder::new(d);
+        let main = b.thread("main", hi);
+        let c = b.thread("c", hi);
+        let dt = b.thread("d", hi);
+        let m0 = b.vertex(main);
+        let _m1 = b.vertex(main);
+        let _c0 = b.vertex(c);
+        let d0 = b.vertex(dt);
+        b.fcreate(m0, c).unwrap();
+        b.fcreate(m0, dt).unwrap();
+        b.ftouch(c, d0).unwrap();
+        b.build().unwrap()
+    }
+
+    /// A random graph whose touches and weak edges ignore the rules the
+    /// generators in [`crate::random`] follow, so every kind of violation
+    /// turns up somewhere in a few dozen seeds.  Every edge goes from a
+    /// lower to a higher vertex id, so the graph is acyclic.
+    fn lawless_dag(seed: u64) -> CostDag {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let d = PriorityDomain::numeric(3);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = DagBuilder::new(d.clone());
+        let mut threads = Vec::new();
+        let mut vertices = Vec::new();
+        for i in 0..rng.gen_range(2..7) {
+            let t = b.thread(format!("t{i}"), d.by_index(rng.gen_range(0..3)));
+            let vs = b.vertices(t, rng.gen_range(1..5));
+            if i > 0 {
+                let creator = vertices[rng.gen_range(0..vertices.len())];
+                b.fcreate(creator, t).unwrap();
+            }
+            threads.push((t, vs[vs.len() - 1]));
+            vertices.extend(vs);
+        }
+        for _ in 0..rng.gen_range(0..5) {
+            let (t, last) = threads[rng.gen_range(0..threads.len())];
+            let later: Vec<VertexId> = vertices
+                .iter()
+                .copied()
+                .filter(|v| v.index() > last.index())
+                .collect();
+            if !later.is_empty() {
+                // A thread's vertices are contiguous, so a later vertex lies
+                // in another thread.
+                let toucher = later[rng.gen_range(0..later.len())];
+                b.ftouch(t, toucher).unwrap();
+            }
+        }
+        for _ in 0..rng.gen_range(0..4) {
+            let (i, j) = (
+                rng.gen_range(0..vertices.len()),
+                rng.gen_range(0..vertices.len()),
+            );
+            if i < j {
+                b.weak(vertices[i], vertices[j]).unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// The graphs the equivalence tests run over: this module's and
+    /// [`crate::examples`]'s hand-built graphs, seeded well-formed
+    /// [`crate::random::sized_dag`] graphs and seeded lawless ones.
+    fn corpus() -> Vec<CostDag> {
+        use crate::examples::{figure1a, figure1b, figure1c, figure2a, figure2b, figure3};
+        let mut graphs = vec![
+            fig2a(),
+            fig2b(),
+            inverted_touch(),
+            third_party_touch(false),
+            third_party_touch(true),
+            sibling_touch(),
+        ];
+        graphs.extend([figure1a, figure1b, figure1c].map(|f| f().0));
+        graphs.extend([figure2a, figure2b, figure3].map(|f| f().0));
+        graphs.extend((0..12).map(|seed| crate::random::sized_dag(seed, 10, 4, 3)));
+        graphs.extend((0..60).map(lawless_dag));
+        graphs
+    }
+
+    /// Definition 4 with reachability answered by a depth-first search per
+    /// query instead of a shared bit matrix: the reference the one-analysis
+    /// check must agree with, error for error and in the same order.
+    fn strong_errors_by_search(dag: &CostDag) -> Vec<WellFormedError> {
+        let reaches = |from: VertexId, to: VertexId| {
+            let mut seen = vec![false; dag.vertex_count()];
+            let mut stack = vec![from];
+            while let Some(v) = stack.pop() {
+                if v == to {
+                    return true;
+                }
+                if !std::mem::replace(&mut seen[v.index()], true) {
+                    stack.extend(dag.out_edges(v).map(|e| e.to));
+                }
+            }
+            false
+        };
+        let continuation = |e: &crate::graph::Edge| e.kind == EdgeKind::Continuation;
+        let knows = |creator: VertexId, target: VertexId| {
+            dag.out_edges(creator).filter(continuation).any(|first| {
+                first.to == target
+                    || dag
+                        .in_edges(target)
+                        .filter(continuation)
+                        .any(|last| reaches(first.to, last.from))
+            })
+        };
+        let dom = dag.domain();
+        let touches = dag.touch_edges().iter().map(|&(a, u)| (a, u, true));
+        let weaks = dag
+            .weak_edges()
+            .iter()
+            .map(|&(w, u)| (dag.thread_of(w), u, false));
+        let mut errors = Vec::new();
+        for (a, u, is_touch) in touches.chain(weaks) {
+            let toucher_prio = dag.thread_priority(dag.thread_of(u));
+            if is_touch && !dom.leq(toucher_prio, dag.thread_priority(a)) {
+                errors.push(WellFormedError::TouchPriorityInversion {
+                    touched: a,
+                    toucher: u,
+                });
+            }
+            if dag.creator_of(a).is_some_and(|c| !knows(c, u)) {
+                errors.push(WellFormedError::UnknownThreadTouched {
+                    touched: a,
+                    toucher: u,
+                });
+            }
+        }
+        errors
+    }
+
+    fn errors(verdict: Result<(), Vec<WellFormedError>>) -> Vec<WellFormedError> {
+        verdict.err().unwrap_or_default()
+    }
+
+    #[test]
+    fn one_reachability_gives_the_same_strong_verdicts_as_a_search_per_edge() {
+        let mut kinds = [0usize; 2];
+        for (i, g) in corpus().iter().enumerate() {
+            let reach = Reachability::new(g);
+            let shared = errors(check_strongly_well_formed_with(g, &reach));
+            assert_eq!(shared, errors(check_strongly_well_formed(g)), "graph {i}");
+            assert_eq!(shared, strong_errors_by_search(g), "graph {i}");
+            for e in &shared {
+                match e {
+                    WellFormedError::TouchPriorityInversion { .. } => kinds[0] += 1,
+                    WellFormedError::UnknownThreadTouched { .. } => kinds[1] += 1,
+                    other => panic!("graph {i}: Definition 4 reported {other}"),
+                }
+            }
+            // The same analysis serves Definition 1.
+            assert_eq!(
+                errors(check_well_formed_with(g, &reach)),
+                errors(check_well_formed(g)),
+                "graph {i}"
+            );
+        }
+        assert!(
+            kinds.iter().all(|&n| n >= 3),
+            "the corpus must exercise both violations: {kinds:?}"
+        );
+    }
+
+    /// Figure 2(a)'s exact verdicts: `u0` (lo) lies on thread `a`'s
+    /// critical path through an unwitnessed create edge, and `a` touches
+    /// `c` without a handle-propagation path from `c`'s creator `u0`.
+    #[test]
+    fn fig2a_verdicts_are_exact() {
+        let g = fig2a();
+        let [a, b, c] = ["a", "b", "c"].map(|n| g.thread_by_name(n).unwrap());
+        let (u0, u, t) = (g.first_vertex(b), g.first_vertex(c), g.last_vertex(a));
+        assert_eq!(
+            errors(check_well_formed(&g)),
+            vec![
+                WellFormedError::LowPriorityStrongAncestor {
+                    thread: a,
+                    vertex: u0
+                },
+                WellFormedError::UnmitigatedCreateEdge {
+                    thread: a,
+                    from: u0,
+                    to: u
+                },
+            ]
+        );
+        assert_eq!(
+            errors(check_strongly_well_formed(&g)),
+            vec![WellFormedError::UnknownThreadTouched {
+                touched: c,
+                toucher: t
+            }]
+        );
+        assert!(check_well_formed(&fig2b()).is_ok());
+    }
+
+    #[test]
+    fn a_sibling_created_at_the_same_vertex_is_unknown() {
+        let g = sibling_touch();
+        let [c, d] = ["c", "d"].map(|n| g.thread_by_name(n).unwrap());
+        assert_eq!(
+            errors(check_strongly_well_formed(&g)),
+            vec![WellFormedError::UnknownThreadTouched {
+                touched: c,
+                toucher: g.first_vertex(d)
+            }]
+        );
+    }
+
+    #[test]
+    fn touch_priority_inversion_detected() {
+        let g = inverted_touch();
         // Strong well-formedness: the touch inverts priority.
         let errs = check_strongly_well_formed(&g).unwrap_err();
         assert!(errs
@@ -367,46 +642,13 @@ mod tests {
     fn unknown_thread_touch_detected() {
         // Thread c is created by thread b, but thread a touches c without any
         // handle-propagation path from b's create point to the toucher.
-        let d = dom();
-        let hi = d.priority("hi").unwrap();
-        let mut b = DagBuilder::new(d);
-        let a = b.thread("a", hi);
-        let bt = b.thread("b", hi);
-        let c = b.thread("c", hi);
-        let a0 = b.vertex(a);
-        let a1 = b.vertex(a);
-        let b0 = b.vertex(bt);
-        let b1 = b.vertex(bt);
-        let _c0 = b.vertex(c);
-        b.fcreate(a0, bt).unwrap();
-        b.fcreate(b0, c).unwrap();
-        b.ftouch(c, a1).unwrap();
-        let _ = b1;
-        let g = b.build().unwrap();
-        let errs = check_strongly_well_formed(&g).unwrap_err();
+        let errs = check_strongly_well_formed(&third_party_touch(false)).unwrap_err();
         assert!(errs
             .iter()
             .any(|e| matches!(e, WellFormedError::UnknownThreadTouched { .. })));
         // Adding the handle-propagation weak edge (write in b, read in a)
         // fixes it.
-        let d = dom();
-        let hi = d.priority("hi").unwrap();
-        let mut b = DagBuilder::new(d);
-        let a = b.thread("a", hi);
-        let bt = b.thread("b", hi);
-        let c = b.thread("c", hi);
-        let a0 = b.vertex(a);
-        let a_read = b.vertex(a);
-        let a1 = b.vertex(a);
-        let b0 = b.vertex(bt);
-        let b_write = b.vertex(bt);
-        let _c0 = b.vertex(c);
-        b.fcreate(a0, bt).unwrap();
-        b.fcreate(b0, c).unwrap();
-        b.weak(b_write, a_read).unwrap();
-        b.ftouch(c, a1).unwrap();
-        let g = b.build().unwrap();
-        assert!(check_strongly_well_formed(&g).is_ok());
+        assert!(check_strongly_well_formed(&third_party_touch(true)).is_ok());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Source-level mutation testing of the workspace's hot paths, in the
 //! spirit of Mull: mechanically mutate the scheduler, solver, tracer,
-//! bound-check and runtime-pool implementations, rerun each module's own
-//! test suite against every mutant, and report the mutants the suite fails
-//! to kill.
+//! bound-check, well-formedness and runtime-pool implementations, rerun
+//! each module's own test suite against every mutant, and report the
+//! mutants the suite fails to kill.
 //!
 //! A *surviving* mutant is a hole in the test suite: a semantic change to a
 //! hot path that no targeted test notices.  The campaign does not demand
@@ -31,7 +31,8 @@ use std::time::{Duration, Instant};
 /// responsible for killing its mutants.
 #[derive(Debug, Clone, Copy)]
 pub struct MutationTarget {
-    /// Short module label (`scheduler`, `solver`, `tracer`, `bound`, `pool`).
+    /// Short module label (`scheduler`, `solver`, `tracer`, `bound`,
+    /// `wellformed`, `pool`).
     pub module: &'static str,
     /// Cargo package the file belongs to.
     pub package: &'static str,
@@ -45,10 +46,10 @@ pub struct MutationTarget {
     pub functions: &'static [(&'static str, Option<&'static str>)],
 }
 
-/// The five hot paths under test: the bucketed prompt scheduler, the
+/// The six hot paths under test: the bucketed prompt scheduler, the
 /// priority-constraint solver, the trace reconstructor's schedule builder,
-/// the Theorem 2.3 bound check, and the runtime's push / help-pop / park
-/// paths.
+/// the Theorem 2.3 bound check, the Definition 1 and 4 well-formedness
+/// checks, and the runtime's push / help-pop / park paths.
 pub const TARGETS: &[MutationTarget] = &[
     MutationTarget {
         module: "scheduler",
@@ -80,6 +81,17 @@ pub const TARGETS: &[MutationTarget] = &[
             ("report_with", None),
             ("check_schedule", None),
             ("is_counterexample", Some("false")),
+        ],
+    },
+    MutationTarget {
+        module: "wellformed",
+        package: "rp-core",
+        file: "crates/core/src/wellformed.rs",
+        test_filter: "wellformed::tests",
+        functions: &[
+            ("check_well_formed_with", Some("Ok(())")),
+            ("check_strongly_well_formed_with", Some("Ok(())")),
+            ("continuation_bracketed_path_exists", Some("true")),
         ],
     },
     MutationTarget {

@@ -19,12 +19,20 @@
 //! runs other levels, and one with nothing at all parks.  A parked worker
 //! records no busy time, so its level's utilization — and next its desire —
 //! falls.
+//!
+//! Between re-evaluations the master waits in a timed park on its own
+//! thread handle, not on the workers' condvar (a wake-up meant for a worker
+//! must never land on the master).  [`Runtime::shutdown`] unparks it, so
+//! stopping a runtime does not wait out the rest of a quantum; any other
+//! wake-up re-checks the deadline and parks again.
+//!
+//! [`Runtime::shutdown`]: crate::runtime::Runtime::shutdown
 
 use crate::pool::SharedState;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Tunable parameters of the master scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,10 +124,21 @@ pub fn rebalance(shared: &SharedState, config: &MasterConfig) {
     }
 }
 
-/// The master thread: rebalances every quantum until shutdown.
+/// The master thread: rebalances every quantum until shutdown.  Each quantum
+/// is a timed park that only an unpark after a shutdown request cuts short.
 pub fn master_loop(shared: Arc<SharedState>, config: MasterConfig) {
     while !shared.is_shutting_down() {
-        std::thread::sleep(config.quantum);
+        let deadline = Instant::now() + config.quantum;
+        loop {
+            let now = Instant::now();
+            if now >= deadline {
+                break;
+            }
+            std::thread::park_timeout(deadline - now);
+            if shared.is_shutting_down() {
+                return;
+            }
+        }
         rebalance(&shared, &config);
     }
 }
@@ -237,6 +256,37 @@ mod tests {
             .sum();
         assert_eq!(total, 8, "all cores are assigned");
         assert!(s.levels[0].allotment.load(Ordering::Relaxed) >= 5);
+    }
+
+    /// An unpark that is not a shutdown does not end the quantum early; the
+    /// one after a shutdown request stops the master at once.
+    #[test]
+    fn only_shutdown_cuts_the_quantum_short() {
+        let s = shared(4);
+        // With no load, the first rebalance halves this desire.
+        s.levels[2].desire.store(4, Ordering::Relaxed);
+        let quantum = Duration::from_secs(5);
+        let started = Instant::now();
+        let master = spawn_master(
+            &s,
+            MasterConfig {
+                quantum,
+                ..MasterConfig::default()
+            },
+        );
+        for _ in 0..50 {
+            master.thread().unpark();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let desire = s.levels[2].desire.load(Ordering::Relaxed);
+        if started.elapsed() < quantum {
+            assert_eq!(desire, 4, "a spurious wake-up ran a rebalance early");
+        }
+        s.request_shutdown();
+        master.thread().unpark();
+        let stopping = Instant::now();
+        master.join().unwrap();
+        assert!(stopping.elapsed() < Duration::from_secs(1));
     }
 
     #[test]

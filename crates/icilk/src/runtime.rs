@@ -554,6 +554,10 @@ impl Runtime {
 
     fn shutdown_in_place(&mut self) {
         self.shared.request_shutdown();
+        // The master waits out its quantum in a timed park; end it now.
+        if let Some(h) = &self.master {
+            h.thread().unpark();
+        }
         self.reactor.shutdown();
         for h in self.workers.drain(..) {
             let _ = h.join();
@@ -989,6 +993,27 @@ mod tests {
             .recv_timeout(Duration::from_secs(5))
             .expect("shutdown of a parked runtime hung");
         assert!(took < Duration::from_millis(500), "shutdown took {took:?}");
+    }
+
+    /// Regression test: the master used to sleep out its whole quantum, so
+    /// a runtime could not stop until the current one ended.  With a 10 s
+    /// quantum, starting and stopping took 10 s.
+    #[test]
+    fn shutdown_does_not_wait_out_the_master_quantum() {
+        let started = Instant::now();
+        let rt = Runtime::start(RuntimeConfig::new(2, 2).with_master(MasterConfig {
+            quantum: Duration::from_secs(10),
+            ..MasterConfig::default()
+        }));
+        // Let the master reach its wait (a shutdown before it starts its
+        // first quantum never waits).
+        std::thread::sleep(Duration::from_millis(50));
+        rt.shutdown();
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "start + shutdown took {took:?}"
+        );
     }
 
     #[test]

@@ -4,10 +4,10 @@
 use crate::machine::{Machine, MachineError, StepOutcome};
 use crate::policy::{ScriptedSelector, SelectionPolicy, Selector};
 use crate::syntax::{Expr, Program, ThreadSym};
-use rp_core::bound::{check_bounds_batch, BoundReport};
+use rp_core::bound::{BoundAnalysis, BoundReport};
 use rp_core::graph::{CostDag, ThreadId as DagThreadId, VertexId};
 use rp_core::schedule::Schedule;
-use rp_core::wellformed::{check_strongly_well_formed, check_well_formed};
+use rp_core::wellformed::check_strongly_well_formed_with;
 use rp_priority::Priority;
 use serde::{Deserialize, Serialize};
 
@@ -257,18 +257,20 @@ fn finalize(
         steps,
     };
 
-    let well_formed = check_well_formed(&graph).is_ok();
-    let strongly_well_formed = check_strongly_well_formed(&graph).is_ok();
+    // One analysis serves Definitions 1 and 4 and every thread's bound; the
+    // schedule's admissibility and promptness are evaluated once, inside
+    // `check_all`, and stamped on every report.
+    let analysis = BoundAnalysis::new(&graph);
     let graph_report = GraphReport {
-        well_formed,
-        strongly_well_formed,
+        well_formed: analysis.is_well_formed(),
+        strongly_well_formed: check_strongly_well_formed_with(&graph, analysis.reachability())
+            .is_ok(),
         vertices: graph.vertex_count(),
         threads: graph.thread_count(),
         weak_edges: graph.weak_edges().len(),
     };
-
-    // One shared pass computes the bound ingredients for every thread.
-    let bounds = check_bounds_batch(&graph, &schedule);
+    let bounds = analysis.check_all(&schedule);
+    let (admissible, prompt) = (bounds[0].admissible, bounds[0].prompt);
     let threads = timings
         .into_iter()
         .map(
@@ -288,8 +290,8 @@ fn finalize(
         name: program.name.clone(),
         steps: total_steps,
         value,
-        admissible: schedule.is_admissible(&graph),
-        prompt: schedule.is_prompt(&graph),
+        admissible,
+        prompt,
         schedule,
         threads,
         graph,
@@ -377,6 +379,71 @@ mod tests {
             },
         );
         assert!(matches!(result, Err(MachineError::StepLimitExceeded(5))));
+    }
+
+    /// The verdicts `finalize` draws from one shared analysis equal what the
+    /// one-shot checks return on the same graph and schedule.
+    fn assert_matches_one_shot_checks(label: &str, r: &RunResult) {
+        use rp_core::bound::check_bounds_batch;
+        use rp_core::wellformed::{check_strongly_well_formed, check_well_formed};
+        let (g, s) = (&r.graph, &r.schedule);
+        let expected = GraphReport {
+            well_formed: check_well_formed(g).is_ok(),
+            strongly_well_formed: check_strongly_well_formed(g).is_ok(),
+            vertices: g.vertex_count(),
+            threads: g.thread_count(),
+            weak_edges: g.weak_edges().len(),
+        };
+        assert_eq!(r.graph_report, expected, "{label}");
+        assert_eq!(r.admissible, s.is_admissible(g), "{label}");
+        assert_eq!(r.prompt, s.is_prompt(g), "{label}");
+        let batch = check_bounds_batch(g, s);
+        assert_eq!(r.threads.len(), batch.len(), "{label}");
+        for t in &r.threads {
+            let a = t.dag_thread;
+            assert_eq!(t.bound, batch[a.index()], "{label}: thread {a}");
+            assert_eq!(t.bound.observed, s.response_time(g, a), "{label}: {a}");
+        }
+    }
+
+    #[test]
+    fn run_results_match_the_one_shot_checks() {
+        use crate::generate::{random_program, GenConfig};
+        use crate::parse::parse_program;
+        use crate::progs::sources;
+        use crate::typecheck::infer_program;
+        let policies = [
+            SelectionPolicy::Prompt,
+            SelectionPolicy::Oblivious,
+            SelectionPolicy::Random { seed: 7 },
+        ];
+        let config = |i: usize| RunConfig {
+            cores: 1 + i % 2,
+            policy: policies[i % policies.len()],
+            max_steps: 2_000_000,
+        };
+        let mut prompt_verdicts = [0usize; 2];
+        let mut check = |label: &str, prog: &Program, i: usize| {
+            let result = run_program(prog, &config(i)).unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_matches_one_shot_checks(label, &result);
+            prompt_verdicts[usize::from(result.prompt)] += 1;
+        };
+        for (i, (name, src, _)) in sources::all().into_iter().enumerate() {
+            let inferred = infer_program(&parse_program(src).unwrap()).unwrap();
+            check(name, &inferred.program, i);
+        }
+        let gen = GenConfig {
+            free_prio_probability: 0.4,
+            ..GenConfig::default()
+        };
+        for seed in 0..40u64 {
+            let inferred = infer_program(&random_program(seed, &gen)).unwrap();
+            check(&format!("seed {seed}"), &inferred.program, seed as usize);
+        }
+        assert!(
+            prompt_verdicts.iter().all(|&n| n > 0),
+            "both promptness verdicts must occur: {prompt_verdicts:?}"
+        );
     }
 
     #[test]
