@@ -445,10 +445,6 @@ pub fn drive(
             rt.drain(Duration::from_secs(10));
             outcome.latency
         }
-        LoadMode::Socket(_) => panic!(
-            "socket load is driven from the client side over rp_net \
-             (harness::drive_socket_open / bench_net), not by the in-process drivers"
-        ),
     }
 }
 

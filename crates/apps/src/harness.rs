@@ -47,12 +47,6 @@ pub enum LoadMode {
     /// Open loop: Poisson arrivals at a fixed rate, independent of server
     /// progress.
     Open(OpenLoopConfig),
-    /// Open loop over **real loopback sockets**: the same Poisson schedule
-    /// as [`LoadMode::Open`], but every request crosses a TCP connection to
-    /// an `rp_net` server instead of calling a `drive()` function
-    /// in-process.  Driven from the *client* side by [`drive_socket_open`];
-    /// the in-process app drivers reject this mode.
-    Socket(SocketLoadConfig),
 }
 
 /// Parameters of the open-loop injector.

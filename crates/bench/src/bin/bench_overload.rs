@@ -29,7 +29,9 @@
 //!   exceeded its (generous, calibration-derived) budget, or any app
 //!   request was shed, in a run with shedding enabled;
 //! * a **Theorem 2.3 counterexample** in the traced overload run;
-//! * an **unanswered or incoherent admin scrape** during the flood.
+//! * an **unanswered or incoherent admin scrape** during the flood;
+//! * a **wire/process counter mismatch**: after a drained overload point,
+//!   the last scrape disagrees with the server's in-process snapshot.
 //!
 //! A collapsing *unprotected* baseline is expected output, not a failure.
 
@@ -38,7 +40,7 @@ use rp_apps::harness::{
     collect_trace, drive_socket_open_with, OpenLoopConfig, OpenLoopOutcome, ResilienceConfig,
     ResponseVerdict, RetryPolicy, SocketLoadConfig,
 };
-use rp_bench::telemetry::{telemetry_json, ScrapeTally, Scraper};
+use rp_bench::telemetry::{reconcile, telemetry_json, ScrapeTally, Scraper};
 use rp_net::admission::AdmissionConfig;
 use rp_net::protocol::{body_is_overloaded, encode_request, AppOp, Request, RequestClass};
 use rp_net::server::{NetServer, NetServerConfig};
@@ -210,6 +212,7 @@ fn run_overload(
     lambda_budget: Duration,
     win: &Windows,
     tally: &mut ScrapeTally,
+    mismatches: &mut Vec<String>,
 ) -> OverloadRow {
     let admission = shedding.then(|| AdmissionConfig::protect_app(app_budget, lambda_budget));
     let config = server_config(workers, false, admission);
@@ -269,9 +272,19 @@ fn run_overload(
     let app_outcome = app_outcome.expect("app driver");
     let lambda_outcome = lambda_outcome.expect("lambda driver");
 
-    server.drain(Duration::from_secs(10));
-    tally.absorb(scraper.stop());
+    let drained = server.drain(Duration::from_secs(10));
     let stats = server.stats();
+    let run_tally = scraper.stop();
+    // Only a drained server is quiescent, so only then must the wire view
+    // match the process view exactly.
+    if drained {
+        if let Some(exp) = &run_tally.last {
+            for miss in reconcile(exp, &stats) {
+                mismatches.push(format!("{multiplier}x shed={shedding}: {miss}"));
+            }
+        }
+    }
+    tally.absorb(run_tally);
     let admission = server.admission();
     let row = OverloadRow {
         multiplier,
@@ -416,6 +429,7 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut tally = ScrapeTally::default();
+    let mut mismatches = Vec::new();
     for &multiplier in multipliers {
         for shedding in [false, true] {
             let row = run_overload(
@@ -428,6 +442,7 @@ fn main() {
                 lambda_budget,
                 &win,
                 &mut tally,
+                &mut mismatches,
             );
             println!(
                 "{:>4.0}x shed={:<5} app p95 {:>9}µs (timeouts {:>3})  lambda p95 {:>9}µs rejected {:>5}/{:<5} shed {:?}",
@@ -445,8 +460,12 @@ fn main() {
     }
 
     println!(
-        "telemetry: {} scrapes under flood ({} failed), {} monotone / {} quantile violations",
-        tally.scrapes, tally.failures, tally.monotone_violations, tally.quantile_violations,
+        "telemetry: {} scrapes under flood ({} failed), {} monotone / {} quantile violations, {} reconcile mismatches",
+        tally.scrapes,
+        tally.failures,
+        tally.monotone_violations,
+        tally.quantile_violations,
+        mismatches.len(),
     );
 
     let traced = run_traced(workers, saturation * 2.0, app_budget, lambda_budget);
@@ -533,7 +552,11 @@ fn main() {
     );
     let _ = writeln!(json, "    \"counterexamples\": {}", traced.counterexamples);
     json.push_str("  },\n");
-    let _ = writeln!(json, "  \"telemetry\": {},", telemetry_json(&tally, 0));
+    let _ = writeln!(
+        json,
+        "  \"telemetry\": {},",
+        telemetry_json(&tally, mismatches.len() as u64)
+    );
     let _ = writeln!(json, "  \"exempt_budget_misses\": {}", exempt_misses.len());
     json.push_str("}\n");
 
@@ -559,6 +582,10 @@ fn main() {
             "FAIL: telemetry incoherent under flood — {} scrape failure(s), {} monotone violation(s), {} quantile inversion(s)",
             tally.failures, tally.monotone_violations, tally.quantile_violations
         );
+        failed = true;
+    }
+    for miss in &mismatches {
+        eprintln!("FAIL: wire/process counter mismatch — {miss}");
         failed = true;
     }
     if failed {

@@ -14,24 +14,25 @@
 //! The JSON records, per swept configuration, the reconstructed graph's
 //! size, which hypotheses held, bound-slack percentiles (observed steps over
 //! the adjusted bound, ≤ 1 when the bound holds), and wall-clock response
-//! measurements; plus an A/B of the same closed-loop workload with tracing
-//! off vs on.
+//! measurements.
 //!
 //! The binary also runs a **streaming sweep**: a traced socket server with
 //! the incremental reconstructor on, driven at a constant request rate for
 //! 30 s (2 s under `--quick`).  It fails on any Theorem 2.3 counterexample,
 //! dropped trace event, or ingest error, and on a memory-bound violation —
 //! the reconstructor's live working set must stay bounded by in-flight work
-//! while retired subgraphs track completed requests.  A second A/B measures
-//! the streaming drain loop against post-hoc reconstruction on the same
-//! closed-loop workload (both timings include reconstruction).
+//! while retired subgraphs track completed requests.
+//!
+//! Timings live in the repository benchmark (`benchmark/`): the tracer's
+//! cost is `rig.trace_overhead_pct` and `icilk.tracer_overhead_pct`, the
+//! two reconstructors' throughput `core.reconstruct_{posthoc,stream}_events_s`.
 
 use rp_apps::harness::{
-    collect_trace, collect_trace_streaming, shutdown_runtime, take_socket_frame,
-    write_socket_frame, ExperimentConfig, OpenLoopConfig, TraceRunReport,
+    collect_trace, shutdown_runtime, take_socket_frame, write_socket_frame, ExperimentConfig,
+    OpenLoopConfig, TraceRunReport,
 };
 use rp_apps::proxy;
-use rp_icilk::runtime::{Runtime, RuntimeConfig, SchedulerKind};
+use rp_icilk::runtime::{Runtime, RuntimeConfig};
 use rp_net::protocol::encode_request;
 use rp_net::{AppOp, NetServer, NetServerConfig, Request};
 use rp_sim::latency::LatencyModel;
@@ -182,17 +183,6 @@ fn run_chain_traced(links: u64) -> Result<TraceRunReport, String> {
         return Err("runtime did not drain within 10 s".to_string());
     }
     report.map_err(|e| format!("reconstruction failed: {e}"))
-}
-
-/// Wall time of one closed-loop proxy run (tracing per `config.trace`).
-fn proxy_wall_time(config: &ExperimentConfig) -> Duration {
-    let rt = Arc::new(config.start_runtime(SchedulerKind::ICilk, &proxy::LEVELS));
-    let state = proxy::ProxyState::new();
-    let started = Instant::now();
-    let _ = proxy::drive(&rt, &state, config);
-    let elapsed = started.elapsed();
-    shutdown_runtime(rt, Duration::from_secs(10));
-    elapsed
 }
 
 /// One batch of mixed app requests for the streaming sweep: two proxy
@@ -393,58 +383,6 @@ fn run_streaming_sweep(duration: Duration, failures: &mut Vec<String>) -> Option
     Some(sweep)
 }
 
-/// Wall time of one traced closed-loop proxy run reconstructed **post-hoc**:
-/// drive, drain, then snapshot + reconstruct in one pass at the end.
-fn post_hoc_wall_time(config: &ExperimentConfig, failures: &mut Vec<String>) -> f64 {
-    let rt = Arc::new(config.start_runtime(SchedulerKind::ICilk, &proxy::LEVELS));
-    let state = proxy::ProxyState::new();
-    let started = Instant::now();
-    let _ = proxy::drive(&rt, &state, config);
-    let drained = rt.drain(Duration::from_secs(10));
-    let report = collect_trace(&rt);
-    let elapsed = started.elapsed();
-    shutdown_runtime(rt, Duration::from_secs(10));
-    if !drained {
-        failures.push("drain-ab/post-hoc: runtime did not drain".to_string());
-    }
-    match report {
-        Ok(r) => {
-            if !r.counterexamples().is_empty() {
-                failures.push("drain-ab/post-hoc: counterexample".to_string());
-            }
-        }
-        Err(e) => failures.push(format!("drain-ab/post-hoc: {e}")),
-    }
-    elapsed.as_secs_f64() * 1_000.0
-}
-
-/// Wall time of the same run reconstructed **streaming**: the background
-/// drain loop ingests while the workload runs, and `stop()` finalizes.
-fn streaming_wall_time(config: &ExperimentConfig, failures: &mut Vec<String>) -> f64 {
-    let rt = Arc::new(config.start_runtime(SchedulerKind::ICilk, &proxy::LEVELS));
-    let state = proxy::ProxyState::new();
-    let started = Instant::now();
-    let collector = collect_trace_streaming(&rt).expect("config is traced");
-    let _ = proxy::drive(&rt, &state, config);
-    let drained = rt.drain(Duration::from_secs(10));
-    let report = collector.stop();
-    let elapsed = started.elapsed();
-    shutdown_runtime(rt, Duration::from_secs(10));
-    if !drained {
-        failures.push("drain-ab/streaming: runtime did not drain".to_string());
-    }
-    if report.aggregates.counterexamples > 0 {
-        failures.push("drain-ab/streaming: counterexample".to_string());
-    }
-    if report.trace.dropped_events > 0 {
-        failures.push("drain-ab/streaming: dropped trace events".to_string());
-    }
-    if report.ingest_errors > 0 {
-        failures.push("drain-ab/streaming: ingest errors".to_string());
-    }
-    elapsed.as_secs_f64() * 1_000.0
-}
-
 fn fmt_opt(v: Option<f64>) -> String {
     match v {
         Some(x) => format!("{x:.4}"),
@@ -462,10 +400,10 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "BENCH_trace.json".to_string());
 
-    let (connections, requests, rates, ab_trials) = if quick {
-        (4usize, 3usize, vec![200.0f64, 500.0], 2usize)
+    let (connections, requests, rates) = if quick {
+        (4usize, 3usize, vec![200.0f64, 500.0])
     } else {
-        (8, 4, vec![300.0, 800.0, 1_500.0], 3)
+        (8, 4, vec![300.0, 800.0, 1_500.0])
     };
     let (warmup_millis, measure_millis) = if quick { (20, 100) } else { (50, 250) };
 
@@ -565,19 +503,6 @@ fn main() {
         );
     }
 
-    // Tracer overhead A/B on the same closed-loop workload.
-    let ab_config = base_config(2, connections, requests);
-    let mut off = f64::MAX;
-    let mut on = f64::MAX;
-    for _ in 0..ab_trials {
-        off = off.min(proxy_wall_time(&ab_config).as_secs_f64() * 1_000.0);
-        on = on.min(proxy_wall_time(&ab_config.clone().traced()).as_secs_f64() * 1_000.0);
-    }
-    let overhead_percent = (on / off - 1.0) * 100.0;
-    println!(
-        "tracer A/B (closed loop): off {off:.1} ms, on {on:.1} ms, overhead {overhead_percent:+.1}%"
-    );
-
     // Streaming sweep: constant-rate traced socket load with the
     // incremental reconstructor retiring request subgraphs live.
     let stream_duration = Duration::from_secs(if quick { 2 } else { 30 });
@@ -601,21 +526,6 @@ fn main() {
             s.ingest_errors,
         );
     }
-
-    // Drain-loop A/B: streaming reconstruction overlapped with the run vs
-    // post-hoc reconstruction after it, both ending with verdicts in hand.
-    let drain_config = base_config(2, connections, requests).traced();
-    let mut post_hoc_ms = f64::MAX;
-    let mut streaming_ms = f64::MAX;
-    for _ in 0..ab_trials {
-        post_hoc_ms = post_hoc_ms.min(post_hoc_wall_time(&drain_config, &mut failures));
-        streaming_ms = streaming_ms.min(streaming_wall_time(&drain_config, &mut failures));
-    }
-    let drain_overhead_percent = (streaming_ms / post_hoc_ms - 1.0) * 100.0;
-    println!(
-        "drain A/B (closed loop): post-hoc {post_hoc_ms:.1} ms, streaming {streaming_ms:.1} ms, \
-         overhead {drain_overhead_percent:+.1}%"
-    );
 
     let mut json = String::new();
     json.push_str("{\n  \"kernel\": \"bench_trace\",\n  \"app\": \"proxy\",\n");
@@ -656,12 +566,7 @@ fn main() {
         );
         let _ = writeln!(json, "{}", if i + 1 < rows.len() { "," } else { "" });
     }
-    json.push_str("  ],\n  \"tracer_overhead\": {\n");
-    let _ = writeln!(json, "    \"trials\": {ab_trials},");
-    let _ = writeln!(json, "    \"traced_off_millis\": {off:.2},");
-    let _ = writeln!(json, "    \"traced_on_millis\": {on:.2},");
-    let _ = writeln!(json, "    \"overhead_percent\": {overhead_percent:.2}");
-    json.push_str("  },\n");
+    json.push_str("  ],\n");
     if let Some(s) = &streaming {
         json.push_str("  \"streaming\": {\n");
         let _ = writeln!(json, "    \"duration_millis\": {:.1},", s.duration_millis);
@@ -680,16 +585,8 @@ fn main() {
             s.max_pending_events
         );
         let _ = writeln!(json, "    \"slack_max\": {:.4},", s.slack_max);
-        let _ = writeln!(json, "    \"slack_samples\": {},", s.slack_samples);
-        json.push_str("    \"drain_ab\": {\n");
-        let _ = writeln!(json, "      \"trials\": {ab_trials},");
-        let _ = writeln!(json, "      \"post_hoc_millis\": {post_hoc_ms:.2},");
-        let _ = writeln!(json, "      \"streaming_millis\": {streaming_ms:.2},");
-        let _ = writeln!(
-            json,
-            "      \"overhead_percent\": {drain_overhead_percent:.2}"
-        );
-        json.push_str("    }\n  },\n");
+        let _ = writeln!(json, "    \"slack_samples\": {}", s.slack_samples);
+        json.push_str("  },\n");
     }
     let _ = writeln!(json, "  \"counterexamples\": {}", failures.len());
     json.push_str("}\n");

@@ -14,9 +14,11 @@
 //!   admissible/prompt schedules, well-formedness verdicts, and the
 //!   a-strengthening, rendered as text and DOT.
 //!
-//! The Criterion benches in `benches/` measure the building blocks (bound
-//! computation, schedulers, the λ⁴ᵢ machine, the runtime) and the ablations
-//! over the master scheduler's parameters.
+//! The other `bench_*` binaries are gates, not timers: each runs a sweep
+//! and exits non-zero when an oracle fails (a Theorem 2.3 counterexample,
+//! a verdict drift, an incoherent scrape, a fuzz finding).  Performance
+//! numbers come from the repository benchmark in `benchmark/`, which times
+//! every layer these binaries once timed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,4 +1,4 @@
-//! Mid-sweep telemetry scraping for the bench binaries.
+//! Mid-sweep telemetry scraping for `bench_overload`.
 //!
 //! While a bench drives load at the data plane, a [`Scraper`] polls the
 //! same server's admin plane and checks, poll over poll, that the
@@ -6,9 +6,9 @@
 //! wire counters are monotone, and the latency quantiles are ordered.
 //! After the run drains, [`reconcile`] compares a final scrape against
 //! the server's in-process snapshot — the wire view and the process
-//! view must agree exactly.  The binaries fold the resulting
-//! [`ScrapeTally`] into their JSON reports as a `telemetry` section and
-//! exit non-zero on any violation, so CI catches a telemetry-plane
+//! view must agree exactly.  The binary folds the resulting
+//! [`ScrapeTally`] into its JSON report as a `telemetry` section and
+//! exits non-zero on any violation, so CI catches a telemetry-plane
 //! regression the same way it catches a Theorem 2.3 counterexample.
 
 use rp_net::protocol::{AdminOp, MetricsFormat, RequestClass};

@@ -5,13 +5,16 @@
 //!
 //! The suite covers every trace source the repo has: the proxy case study in
 //! closed and open loop, the email case study, a λ⁴ᵢ program through the
-//! full pipeline, and a real socket run.  A final test exercises epoch-based
-//! retirement live against a streaming [`NetServer`]: under wave-by-wave
-//! load the reconstructor's working set must return to zero between waves
-//! while the retired-subgraph gauge keeps growing.
+//! full pipeline, and a real socket run.  One test runs the proxy through
+//! the live drain loop of [`collect_trace_streaming`]; a final test
+//! exercises epoch-based retirement live against a streaming
+//! [`NetServer`]: under wave-by-wave load the reconstructor's working set
+//! must return to zero between waves while the retired-subgraph gauge
+//! keeps growing.
 
 use rp_apps::harness::{
-    shutdown_runtime, take_socket_frame, write_socket_frame, ExperimentConfig, OpenLoopConfig,
+    collect_trace_streaming, shutdown_runtime, take_socket_frame, write_socket_frame,
+    ExperimentConfig, OpenLoopConfig,
 };
 use rp_apps::{email, proxy};
 use rp_core::stream::{IncrementalReconstructor, StreamConfig, SubgraphReport};
@@ -151,6 +154,25 @@ fn proxy_closed_loop_streams_identically_to_post_hoc() {
         proxy::drive(rt, &state, &config);
     });
     assert_streaming_matches_post_hoc(&trace, "proxy-closed");
+}
+
+/// The background drain loop ingests while the proxy runs; once the runtime
+/// drains, every request has retired with no loss and no counterexample.
+#[test]
+fn proxy_closed_loop_through_the_live_collector_loses_nothing() {
+    let config = app_config();
+    let rt = Arc::new(config.start_runtime(SchedulerKind::ICilk, &proxy::LEVELS));
+    let collector = collect_trace_streaming(&rt).expect("config is traced");
+    let state = proxy::ProxyState::new();
+    proxy::drive(&rt, &state, &config);
+    assert!(rt.drain(Duration::from_secs(10)), "runtime drains");
+    let report = collector.stop();
+    shutdown_runtime(rt, Duration::from_secs(10));
+    assert_eq!(report.aggregates.counterexamples, 0, "Theorem 2.3 holds");
+    assert_eq!(report.trace.dropped_events, 0, "no tracer overflow");
+    assert_eq!(report.ingest_errors, 0);
+    assert_eq!(report.aggregates.skipped_tasks, 0, "drained run");
+    assert!(report.aggregates.retired_subgraphs > 0);
 }
 
 #[test]

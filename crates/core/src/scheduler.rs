@@ -288,8 +288,7 @@ fn bucketed_prompt(dag: &CostDag, num_cores: usize, respect_weak: bool) -> Sched
 /// Each step materialises the ready set and repeatedly scans it for a vertex
 /// no other ready vertex strictly outranks — `O(ready² · P)` per step.  The
 /// property suite asserts the bucketed schedulers above produce *identical*
-/// schedules on random DAG corpora, and `benches/scheduler.rs` measures the
-/// speedup.
+/// schedules on random DAG corpora.
 pub mod reference {
     use super::*;
 
@@ -571,6 +570,14 @@ mod tests {
                 );
             }
         }
+        // The inputs above have at most four levels; this 5k-vertex DAG
+        // over eight levels at P = 8 exercises a deeper domain.
+        let dag = crate::random::sized_dag(0x5EED_50C5, 100, 50, 8);
+        assert_eq!(
+            prompt_schedule(&dag, 8),
+            reference::prompt_schedule(&dag, 8),
+            "prompt mismatch on the 8-level sized DAG"
+        );
     }
 
     /// The bucketed scheduler also matches the reference on partial orders

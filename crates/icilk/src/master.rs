@@ -289,6 +289,48 @@ mod tests {
         assert!(stopping.elapsed() < Duration::from_secs(1));
     }
 
+    /// Rebalance rounds until a top level with a 64-task backlog, fully
+    /// busy on whatever it holds, is granted every one of `workers` cores.
+    fn rounds_until_saturated(config: &MasterConfig, workers: usize) -> usize {
+        let s = shared(workers);
+        load(&s, config, 2, 0, 64);
+        for round in 1..=64 {
+            let allot = s.levels[2].allotment.load(Ordering::Relaxed).max(1) as u64;
+            load(&s, config, 2, allot, 0);
+            rebalance(&s, config);
+            if s.levels[2].allotment.load(Ordering::Relaxed) >= workers {
+                return round;
+            }
+        }
+        64
+    }
+
+    /// How fast the master grants cores: a larger γ saturates in fewer
+    /// rounds, the quantum's length does not matter when busy time scales
+    /// with it, and two workers saturate in two rounds whatever γ is.
+    #[test]
+    fn saturated_top_level_gets_every_core_in_a_fixed_number_of_rounds() {
+        for (growth, rounds) in [(1.5, 7), (2.0, 5), (4.0, 3)] {
+            let config = MasterConfig {
+                growth,
+                ..MasterConfig::default()
+            };
+            assert_eq!(rounds_until_saturated(&config, 16), rounds, "γ = {growth}");
+            assert_eq!(rounds_until_saturated(&config, 2), 2, "γ = {growth}, P = 2");
+        }
+        for quantum_us in [100, 500, 2_000] {
+            let config = MasterConfig {
+                quantum: Duration::from_micros(quantum_us),
+                ..MasterConfig::default()
+            };
+            assert_eq!(
+                rounds_until_saturated(&config, 16),
+                5,
+                "quantum {quantum_us} µs"
+            );
+        }
+    }
+
     #[test]
     fn desire_never_exceeds_worker_count_nor_drops_below_one() {
         let s = shared(2);

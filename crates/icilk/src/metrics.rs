@@ -14,9 +14,7 @@
 //! ever locks its own shard, which is uncontended in the common case of at
 //! most [`DEFAULT_SHARDS`] recording threads.  Shards are merged only when
 //! [`MetricsCollector::snapshot`] is called — a cheap bucket-wise histogram
-//! addition thanks to the fixed-size [`LatencyStats`] backing.  The previous
-//! single-global-mutex implementation is retained as
-//! [`reference::MutexMetricsCollector`] so benchmarks can quantify the win.
+//! addition thanks to the fixed-size [`LatencyStats`] backing.
 
 use parking_lot::Mutex;
 use rp_sim::stats::LatencyStats;
@@ -182,15 +180,16 @@ impl MetricsCollector {
     }
 }
 
-/// The pre-sharding implementation, retained as the benchmark baseline.
-pub mod reference {
+/// The pre-sharding implementation, kept as the oracle the sharded
+/// collector's totals are tested against.
+#[cfg(test)]
+mod reference {
     use super::{Inner, MetricsSnapshot};
     use parking_lot::Mutex;
     use std::time::Duration;
 
     /// The original collector: one global mutex on the task-completion hot
-    /// path.  Kept so `bench_server` / the `metrics` bench can measure the
-    /// sharded path against it; not used by the runtime.
+    /// path; not used by the runtime.
     #[derive(Debug)]
     pub struct MutexMetricsCollector {
         inner: Mutex<Inner>,

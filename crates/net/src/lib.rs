@@ -42,8 +42,9 @@
 //! Load generation lives on the client side:
 //! [`rp_apps::harness::drive_socket_open`] replays the same Poisson
 //! arrival schedule as the in-process open loop over real loopback
-//! connections, and the `bench_net` binary sweeps arrival rates × request
-//! classes into `BENCH_net.json`.
+//! connections; `bench_overload` drives it past saturation, and the
+//! repository benchmark's `wire_small` and `wire_mixed` workloads time the
+//! whole path.
 //!
 //! # Example
 //!

@@ -64,7 +64,8 @@ impl RequestClass {
         }
     }
 
-    /// A short stable name for reports (`BENCH_net.json` keys).
+    /// A short stable name for reports and the `class` label of the admin
+    /// plane's metrics.
     pub fn name(self) -> &'static str {
         match self {
             RequestClass::App => "app",
