@@ -13,8 +13,8 @@
 //! versa — coordination through thread handles stored in mutable state.
 
 use crate::harness::{
-    collect_trace, drive_open_loop, run_report, ExperimentConfig, ExperimentReport, LoadMode,
-    OpenLoopConfig, OpenLoopOutcome, TraceHarvestError, TraceRunReport,
+    collect_trace, drain_or_warn, drive_open_loop, run_report, ExperimentConfig, ExperimentReport,
+    LoadMode, OpenLoopConfig, OpenLoopOutcome, TraceHarvestError, TraceRunReport,
 };
 use parking_lot::Mutex;
 use rp_icilk::runtime::{Runtime, SchedulerKind};
@@ -412,7 +412,7 @@ pub fn drive_clients(
         let _ = rt.ftouch_blocking(&request);
         stats.record(started.elapsed());
     }
-    rt.drain(Duration::from_secs(10));
+    drain_or_warn(rt, "email", Duration::from_secs(10));
     stats
 }
 
@@ -442,7 +442,7 @@ pub fn drive(
         LoadMode::Open(open) => {
             let outcome = drive_clients_open(rt, state, config, &open);
             outcome.warn_if_lossy("email");
-            rt.drain(Duration::from_secs(10));
+            drain_or_warn(rt, "email", Duration::from_secs(10));
             outcome.latency
         }
     }

@@ -318,6 +318,21 @@ impl OpenLoopOutcome {
     }
 }
 
+/// Waits up to `timeout` for `rt` to finish every pending task, as each app
+/// driver does after its last request.  The driver's result does not depend
+/// on the drain, but a failed one means some task is stuck, so the driver
+/// name and the tasks completed per level go to stderr, where the stuck
+/// level can be read off.
+pub(crate) fn drain_or_warn(rt: &Runtime, app: &str, timeout: Duration) {
+    if !rt.drain(timeout) {
+        eprintln!(
+            "warning: {app}: runtime did not drain within {timeout:?}; \
+             tasks completed per level: {:?}",
+            rt.metrics().completed
+        );
+    }
+}
+
 /// How long after the last injection the driver keeps waiting for
 /// still-running requests before giving up on them.
 const OPEN_LOOP_TAIL_TIMEOUT: Duration = Duration::from_secs(10);

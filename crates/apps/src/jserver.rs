@@ -9,8 +9,8 @@
 //! down so the experiments run in seconds rather than minutes.
 
 use crate::harness::{
-    drive_open_loop, run_report, ExperimentConfig, ExperimentReport, LoadMode, OpenLoopConfig,
-    OpenLoopOutcome,
+    drain_or_warn, drive_open_loop, run_report, ExperimentConfig, ExperimentReport, LoadMode,
+    OpenLoopConfig, OpenLoopOutcome,
 };
 use rp_icilk::runtime::{Runtime, SchedulerKind};
 use rp_sim::poisson::PoissonProcess;
@@ -217,7 +217,7 @@ pub fn drive_jobs(rt: &Arc<Runtime>, config: &ExperimentConfig) -> LatencyStats 
             stats.record(submitted.elapsed());
         }
     }
-    rt.drain(Duration::from_secs(20));
+    drain_or_warn(rt, "jserver", Duration::from_secs(20));
     stats
 }
 
@@ -249,7 +249,7 @@ pub fn drive(rt: &Arc<Runtime>, config: &ExperimentConfig) -> LatencyStats {
         LoadMode::Open(open) => {
             let outcome = drive_jobs_open(rt, config, &open);
             outcome.warn_if_lossy("jserver");
-            rt.drain(Duration::from_secs(20));
+            drain_or_warn(rt, "jserver", Duration::from_secs(20));
             outcome.latency
         }
     }

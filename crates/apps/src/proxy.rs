@@ -8,8 +8,8 @@
 //! client requests".
 
 use crate::harness::{
-    collect_trace, drive_open_loop, run_report, ExperimentConfig, ExperimentReport, LoadMode,
-    OpenLoopConfig, OpenLoopOutcome, TraceHarvestError, TraceRunReport,
+    collect_trace, drain_or_warn, drive_open_loop, run_report, ExperimentConfig, ExperimentReport,
+    LoadMode, OpenLoopConfig, OpenLoopOutcome, TraceHarvestError, TraceRunReport,
 };
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -128,7 +128,7 @@ pub fn drive(
         LoadMode::Open(open) => {
             let outcome = drive_clients_open(rt, state, config, &open);
             outcome.warn_if_lossy("proxy");
-            rt.drain(Duration::from_secs(10));
+            drain_or_warn(rt, "proxy", Duration::from_secs(10));
             outcome.latency
         }
     }
@@ -185,7 +185,7 @@ pub fn drive_clients(
         let _ = rt.ftouch_blocking(&fut);
         stats.record(started.elapsed());
     }
-    rt.drain(Duration::from_secs(10));
+    drain_or_warn(rt, "proxy", Duration::from_secs(10));
     stats
 }
 

@@ -203,6 +203,38 @@ mod tests {
         }
     }
 
+    /// `scheduler::reference` breaks priority ties by the order of
+    /// `ready_set()`, so that order is part of the contract: ascending vertex
+    /// index, whatever order the vertices were executed and became ready in.
+    #[test]
+    fn ready_set_is_in_ascending_index_order() {
+        let g = crate::random::sized_dag(7, 6, 4, 2);
+        let mut t = ReadyTracker::new(&g);
+        let mut woken_out_of_order = false;
+        // Execute, at every round, the ready vertices from the highest index
+        // down, so successors become ready out of index order.
+        loop {
+            let ready = t.ready_set();
+            if ready.is_empty() {
+                break;
+            }
+            assert!(
+                ready.windows(2).all(|w| w[0] < w[1]),
+                "ready set not ascending: {ready:?}"
+            );
+            let mut woken = Vec::new();
+            for &v in ready.iter().rev() {
+                t.execute_with(&g, v, |w| woken.push(w));
+            }
+            woken_out_of_order |= woken.windows(2).any(|w| w[0] > w[1]);
+        }
+        assert_eq!(t.executed_count(), g.vertex_count());
+        assert!(
+            woken_out_of_order,
+            "the test never woke vertices out of order"
+        );
+    }
+
     #[test]
     fn adjacency_view_matches_graph() {
         let (g, [m0, _m1, m2, c0]) = diamond();

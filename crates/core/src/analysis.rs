@@ -9,8 +9,9 @@
 //! * `u ⊒ʷ u'` — *weak ancestor*: there exists a path from `u` to `u'`
 //!   containing at least one weak edge.
 //!
-//! [`Reachability`] precomputes all three as bit matrices so the
-//! well-formedness checks, strengthening, and span computations are cheap.
+//! [`Reachability`] answers all three from two bit matrices (`⊒ˢ` is `⊒`
+//! without `⊒ʷ`), so the well-formedness checks, strengthening, and span
+//! computations are cheap.
 
 use crate::graph::{CostDag, VertexId};
 
@@ -96,13 +97,11 @@ pub struct Reachability {
     any: BitMatrix,
     /// `weak[u][v]`: some path from u to v containing ≥1 weak edge.
     weak: BitMatrix,
-    /// `strong_path[u][v]`: some path (reflexive) from u to v using only
-    /// strong edges.
-    strong_path: BitMatrix,
 }
 
 impl Reachability {
-    /// Computes the relations for a graph.
+    /// Computes the relations for a graph: two `V×V` bit matrices, filled
+    /// in `O(V·E/64)` word operations.
     ///
     /// The graph must be acyclic (builders guarantee this); otherwise the
     /// computation still terminates but relations over vertices on cycles
@@ -112,10 +111,8 @@ impl Reachability {
         let order = topological_order(dag);
         let mut any = BitMatrix::new(n);
         let mut weak = BitMatrix::new(n);
-        let mut strong_path = BitMatrix::new(n);
         for v in 0..n {
             any.set(v, v);
-            strong_path.set(v, v);
         }
         // Process in reverse topological order so successors are done first.
         // The graph's CSR index provides the out-edge slices; the matrices
@@ -127,7 +124,6 @@ impl Reachability {
                 let v = e.to.index();
                 any.or_row(u, v);
                 if e.kind.is_strong() {
-                    strong_path.or_row(u, v);
                     weak.or_row(u, v);
                 } else {
                     // A weak edge makes every vertex reachable from v a weak
@@ -138,12 +134,7 @@ impl Reachability {
                 }
             }
         }
-        Reachability {
-            n,
-            any,
-            weak,
-            strong_path,
-        }
+        Reachability { n, any, weak }
     }
 
     /// Number of vertices the relations were computed over.
@@ -170,14 +161,6 @@ impl Reachability {
     /// `u ⊒ʷ v`: there exists a path from `u` to `v` containing a weak edge.
     pub fn is_weak_ancestor(&self, u: VertexId, v: VertexId) -> bool {
         self.weak.get(u.index(), v.index())
-    }
-
-    /// Whether a path from `u` to `v` using only strong edges exists
-    /// (reflexive).  Note this is *not* the same as
-    /// [`is_strong_ancestor`](Self::is_strong_ancestor): a strong path may
-    /// coexist with a weak path, in which case `u` is a weak ancestor.
-    pub fn has_strong_path(&self, u: VertexId, v: VertexId) -> bool {
-        self.strong_path.get(u.index(), v.index())
     }
 
     /// `u ∥ v`: the vertices may run in parallel (neither is an ancestor of
@@ -273,10 +256,8 @@ mod tests {
         // (weak path through c1), so it is a weak ancestor, not a strong one.
         assert!(r.is_weak_ancestor(m0, m1));
         assert!(!r.is_strong_ancestor(m0, m1));
-        assert!(r.has_strong_path(m0, m1));
         // c1 reaches m1 only through the weak edge.
         assert!(r.is_weak_ancestor(c1, m1));
-        assert!(!r.has_strong_path(c1, m1));
         assert!(!r.is_strong_ancestor(c1, m1));
         // m1 -> m2 is purely strong.
         assert!(r.is_strong_ancestor(m1, m2));

@@ -13,9 +13,9 @@
 
 use crate::analysis::Reachability;
 use crate::graph::{CostDag, ThreadId};
-use crate::metrics::{a_span_with, competitor_work_with};
+use crate::metrics::{a_span_over, a_span_with, competitor_work_with};
 use crate::schedule::{admissible_in, response_time_in, Schedule};
-use crate::strengthen::strengthening_with;
+use crate::strengthen::{strengthening_is_identity, strengthening_with};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
@@ -88,16 +88,19 @@ impl BoundReport {
 }
 
 /// A per-graph cache of everything the bound computation needs that does not
-/// depend on a schedule: the reachability relations, the well-formedness
-/// verdict, and the per-thread `(competitor work, a-span)` pairs (computed
-/// on demand and memoized, since the strengthening is inherently
-/// per-thread).  The same relations answer Definition 4 through
+/// depend on a schedule: the reachability relations (two `V×V` bit
+/// matrices), the well-formedness verdict, and the per-thread
+/// `(competitor work, a-span)` pairs (computed on demand and memoized, since
+/// the strengthening is inherently per-thread).  A thread's a-span builds the
+/// strengthened copy of the graph only when Definition 2 rewrites one of its
+/// edges; otherwise it walks the base graph.  The same relations answer
+/// Definition 4 through
 /// [`check_strongly_well_formed_with`](crate::wellformed::check_strongly_well_formed_with)
 /// on [`reachability`](Self::reachability).
 ///
 /// Callers that check bounds for several threads or several schedules of the
 /// same graph should build one `BoundAnalysis` and reuse it; the one-shot
-/// helpers below construct a fresh analysis per call, which recomputes the
+/// helpers below construct a fresh analysis per call, which recomputes both
 /// `O(V·E/64)` reachability matrices every time.
 #[derive(Debug)]
 pub struct BoundAnalysis<'g> {
@@ -141,9 +144,15 @@ impl<'g> BoundAnalysis<'g> {
         if let Some(m) = self.metrics.borrow()[a.index()] {
             return m;
         }
-        let st = strengthening_with(self.dag, a, &self.reach);
-        let w = competitor_work_with(self.dag, a, &self.reach);
-        let s = a_span_with(self.dag, a, &self.reach, &st);
+        let (dag, reach) = (self.dag, &self.reach);
+        let w = competitor_work_with(dag, a, reach);
+        // Definition 2 rewrites no edge for most threads: their ĝₐ is the
+        // base graph, so the a-span walks it without a strengthened copy.
+        let s = if !strengthening_is_identity(dag, a, reach) {
+            a_span_with(dag, a, reach, &strengthening_with(dag, a, reach))
+        } else {
+            a_span_over(dag, a, reach, &|v| dag.strong_parents(v))
+        };
         self.metrics.borrow_mut()[a.index()] = Some((w, s));
         (w, s)
     }
@@ -432,6 +441,83 @@ mod tests {
         assert!(b1 >= 0.0 && b4 >= 0.0);
         // With P = 1 the bound is exactly the competitor work + 0·span.
         assert_eq!(b1, 1.0);
+    }
+
+    /// Figure 3 with two more low-priority vertices ahead of `u0`, so the
+    /// strengthening shortens the a-span of `a` (5 on the base graph:
+    /// `b0 b1 u0 u t`; 3 on `ĝₐ`: `u' u t`) instead of trading one
+    /// three-vertex path for another.
+    fn figure3_with_low_prefix() -> CostDag {
+        let dom = PriorityDomain::total_order(["lo", "hi"]).unwrap();
+        let hi = dom.priority("hi").unwrap();
+        let lo = dom.priority("lo").unwrap();
+        let mut b = DagBuilder::new(dom);
+        let a = b.thread("a", hi);
+        let low = b.thread("b", lo);
+        let c = b.thread("c", hi);
+        let s = b.vertex(a);
+        let u_prime = b.vertex(a);
+        let t = b.vertex(a);
+        b.vertices(low, 2);
+        let u0 = b.vertex(low);
+        let w = b.vertex(low);
+        b.vertex(c);
+        b.fcreate(s, low).unwrap();
+        b.fcreate(u0, c).unwrap();
+        b.ftouch(c, t).unwrap();
+        b.weak(w, u_prime).unwrap();
+        b.build().unwrap()
+    }
+
+    /// `thread_metrics` skips the strengthened copy when Definition 2
+    /// rewrites nothing; it must still equal the full path through the
+    /// strengthening for every thread, including those of the Figure 3
+    /// graphs, where the strengthening fires.
+    #[test]
+    fn thread_metrics_match_the_strengthening_path() {
+        use crate::random::{sized_dag, RandomDagConfig, RandomDagGenerator};
+
+        let g = figure3_with_low_prefix();
+        let analysis = BoundAnalysis::new(&g);
+        assert!(analysis.is_well_formed());
+        let a = g.thread_by_name("a").unwrap();
+        let base = a_span_over(&g, a, analysis.reachability(), &|v| g.strong_parents(v));
+        assert_eq!((base, analysis.thread_metrics(a).1), (5, 3));
+
+        let mut corpus = vec![g, crate::examples::figure3().0, contended()];
+        for seed in 0..16u64 {
+            let config = RandomDagConfig {
+                priority_levels: 1 + (seed as usize % 4),
+                ..RandomDagConfig::default()
+            };
+            corpus.push(RandomDagGenerator::new(config, seed).generate());
+        }
+        corpus.push(sized_dag(0x5EED, 20, 5, 4));
+        let mut rewritten = 0;
+        for (g, dag) in corpus.iter().enumerate() {
+            let analysis = BoundAnalysis::new(dag);
+            let reach = analysis.reachability();
+            for a in dag.threads() {
+                let st = strengthening_with(dag, a, reach);
+                assert_eq!(
+                    strengthening_is_identity(dag, a, reach),
+                    st.removed.is_empty(),
+                    "graph {g} {a:?}"
+                );
+                if !st.removed.is_empty() {
+                    rewritten += 1;
+                }
+                let expected = (
+                    competitor_work_with(dag, a, reach),
+                    a_span_with(dag, a, reach, &st),
+                );
+                assert_eq!(analysis.thread_metrics(a), expected, "graph {g} {a:?}");
+            }
+        }
+        assert!(
+            rewritten > 0,
+            "no thread exercised a rewriting strengthening"
+        );
     }
 
     #[test]

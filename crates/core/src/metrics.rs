@@ -73,26 +73,40 @@ pub fn a_span_with(
     reach: &Reachability,
     strengthened: &StrengthenedDag,
 ) -> usize {
+    a_span_over(dag, a, reach, &|v| strengthened.strong_parents(v))
+}
+
+/// The a-span over a graph with the base graph's vertices whose strong
+/// in-edges are given by `parents`: the strengthened graph's, or, when
+/// Definition 2 rewrites nothing for `a`, the base graph's own.
+pub(crate) fn a_span_over<'p>(
+    dag: &CostDag,
+    a: ThreadId,
+    reach: &Reachability,
+    parents: &dyn Fn(VertexId) -> &'p [VertexId],
+) -> usize {
     let s = dag.first_vertex(a);
     let t = dag.last_vertex(a);
     let allowed = |v: VertexId| !reach.is_ancestor(v, s);
-    longest_strong_path_to(strengthened, t, &allowed)
+    longest_strong_path_to(dag.vertex_count(), parents, t, &allowed)
 }
 
-/// `S_a(V)`: the number of vertices on the longest strong path in the
-/// strengthened graph ending at `t` and consisting only of vertices
-/// satisfying `allowed`.
-pub(crate) fn longest_strong_path_to(
-    st: &StrengthenedDag,
+/// `S_a(V)`: the number of vertices on the longest strong path ending at `t`
+/// and consisting only of vertices satisfying `allowed`, over the `n`
+/// vertices whose strong in-edges `parents` gives.
+fn longest_strong_path_to<'p>(
+    n: usize,
+    parents: &dyn Fn(VertexId) -> &'p [VertexId],
     t: VertexId,
     allowed: &dyn Fn(VertexId) -> bool,
 ) -> usize {
-    // Memoized longest path over the strengthened strong edges, walking
-    // backwards from t.  The strengthened graph is acyclic (it is derived
-    // from an acyclic graph by replacing edges with edges from vertices that
-    // are not descendants of the target).
-    fn go(
-        st: &StrengthenedDag,
+    // Memoized longest path over the strong edges, walking backwards from t.
+    // Both graphs walked here are acyclic: the base graph by construction,
+    // and the strengthened graph because it is derived from an acyclic graph
+    // by replacing edges with edges from vertices that are not descendants
+    // of the target.
+    fn go<'p>(
+        parents: &dyn Fn(VertexId) -> &'p [VertexId],
         v: VertexId,
         allowed: &dyn Fn(VertexId) -> bool,
         memo: &mut Vec<Option<usize>>,
@@ -107,9 +121,9 @@ pub(crate) fn longest_strong_path_to(
         // cycles; acyclicity makes this a plain memo in practice.
         memo[v.index()] = Some(1);
         let mut best = 1;
-        for &p in st.strong_parents(v) {
+        for &p in parents(v) {
             if allowed(p) {
-                best = best.max(1 + go(st, p, allowed, memo));
+                best = best.max(1 + go(parents, p, allowed, memo));
             }
         }
         memo[v.index()] = Some(best);
@@ -118,8 +132,8 @@ pub(crate) fn longest_strong_path_to(
     if !allowed(t) {
         return 0;
     }
-    let mut memo = vec![None; st.vertex_count];
-    go(st, t, allowed, &mut memo)
+    let mut memo = vec![None; n];
+    go(parents, t, allowed, &mut memo)
 }
 
 #[cfg(test)]

@@ -135,18 +135,26 @@ impl Schedule {
     /// strictly lower priority than an unassigned ready vertex, and cores are
     /// only left idle when no ready vertices remain.
     ///
-    /// The ready set is maintained incrementally, so the check is linear in
-    /// the size of the graph plus the priority comparisons per step.
+    /// The ready set is kept as an unordered list with a position index:
+    /// it is seeded once, each executed vertex leaves by `swap_remove`, and
+    /// newly ready vertices join as their last strong parent executes.  The
+    /// check is therefore `O(V + E)` plus the priority comparisons, at most
+    /// `P` times the ready-set size per step.
     pub fn is_prompt(&self, dag: &CostDag) -> bool {
+        const ABSENT: usize = usize::MAX;
         let dom = dag.domain();
         let mut tracker = crate::adjacency::ReadyTracker::new(dag);
+        let mut ready = tracker.ready_set();
+        let mut pos = vec![ABSENT; dag.vertex_count()];
+        for (i, v) in ready.iter().enumerate() {
+            pos[v.index()] = i;
+        }
         for step in &self.steps {
             let assigned: &[VertexId] = step;
             // All assigned vertices must be ready.
             if !assigned.iter().all(|&v| tracker.is_ready(v)) {
                 return false;
             }
-            let ready = tracker.ready_set();
             // Cores may only idle if every ready vertex was assigned.
             if assigned.len() < self.num_cores.min(ready.len()) {
                 return false;
@@ -161,7 +169,17 @@ impl Schedule {
                 }
             }
             for &v in assigned {
-                tracker.execute(dag, v);
+                let i = std::mem::replace(&mut pos[v.index()], ABSENT);
+                if i != ABSENT {
+                    ready.swap_remove(i);
+                    if let Some(&moved) = ready.get(i) {
+                        pos[moved.index()] = i;
+                    }
+                }
+                tracker.execute_with(dag, v, |w| {
+                    pos[w.index()] = ready.len();
+                    ready.push(w);
+                });
             }
         }
         true
@@ -229,7 +247,173 @@ pub(crate) fn response_time_in(
 mod tests {
     use super::*;
     use crate::build::DagBuilder;
+    use crate::random::{sized_dag, RandomDagConfig, RandomDagGenerator};
+    use crate::scheduler::{prompt_schedule, weak_respecting_prompt_schedule};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use rp_priority::PriorityDomain;
+
+    /// The promptness check as it was before the incremental ready list,
+    /// kept verbatim as an executable specification: it rescans every
+    /// vertex for the ready set at each step.
+    fn is_prompt_reference(schedule: &Schedule, dag: &CostDag) -> bool {
+        let dom = dag.domain();
+        let mut tracker = crate::adjacency::ReadyTracker::new(dag);
+        for step in &schedule.steps {
+            let assigned: &[VertexId] = step;
+            // All assigned vertices must be ready.
+            if !assigned.iter().all(|&v| tracker.is_ready(v)) {
+                return false;
+            }
+            let ready = tracker.ready_set();
+            // Cores may only idle if every ready vertex was assigned.
+            if assigned.len() < schedule.num_cores.min(ready.len()) {
+                return false;
+            }
+            // No unassigned ready vertex is strictly higher priority than an
+            // assigned one.
+            for &u in assigned {
+                for &v in &ready {
+                    if !assigned.contains(&v) && dom.lt(dag.priority_of(u), dag.priority_of(v)) {
+                        return false;
+                    }
+                }
+            }
+            for &v in assigned {
+                tracker.execute(dag, v);
+            }
+        }
+        true
+    }
+
+    /// Random DAGs over one to four levels, sized DAGs, and the paper's
+    /// figures.
+    fn differential_corpus() -> Vec<CostDag> {
+        let mut corpus = Vec::new();
+        for seed in 0..24u64 {
+            let config = RandomDagConfig {
+                priority_levels: 1 + (seed as usize % 4),
+                max_depth: 3,
+                max_children: 3,
+                max_thread_len: 4,
+                touch_probability: 0.6,
+                weak_edge_probability: 0.4,
+            };
+            corpus.push(RandomDagGenerator::new(config, seed).generate());
+        }
+        for levels in 1..=4 {
+            corpus.push(sized_dag(0x5EED + levels as u64, 12, 5, levels));
+        }
+        corpus.extend([
+            crate::examples::figure1a().0,
+            crate::examples::figure1b().0,
+            crate::examples::figure1c().0,
+            crate::examples::figure2a().0,
+            crate::examples::figure2b().0,
+            crate::examples::figure3().0,
+        ]);
+        corpus
+    }
+
+    /// The three ways a schedule is made non-prompt, each applied at a
+    /// random step: two vertices swapped across adjacent steps, one vertex
+    /// deferred to the next step (idling its core), and an assigned vertex
+    /// exchanged with a strictly lower-priority vertex that is ready at the
+    /// same step but runs later.
+    fn mutants(dag: &CostDag, schedule: &Schedule, rng: &mut StdRng) -> Vec<Schedule> {
+        let n = schedule.steps.len();
+        let mut out = Vec::new();
+        if n >= 2 {
+            let j = rng.gen_range(0..n - 1);
+            let mut m = schedule.clone();
+            let (a, b) = (
+                rng.gen_range(0..m.steps[j].len()),
+                rng.gen_range(0..m.steps[j + 1].len()),
+            );
+            let tmp = m.steps[j][a];
+            m.steps[j][a] = m.steps[j + 1][b];
+            m.steps[j + 1][b] = tmp;
+            out.push(m);
+        }
+        if n >= 1 {
+            let j = rng.gen_range(0..n);
+            let mut m = schedule.clone();
+            let i = rng.gen_range(0..m.steps[j].len());
+            let v = m.steps[j].remove(i);
+            if j + 1 == n {
+                m.steps.push(vec![v]);
+            } else {
+                m.steps[j + 1].insert(0, v);
+            }
+            out.push(m);
+        }
+        // Replay the schedule to find, at some step, an assigned vertex and
+        // a strictly lower-priority ready vertex that runs later.
+        let dom = dag.domain();
+        let step_of = schedule.step_of(dag);
+        let mut tracker = crate::adjacency::ReadyTracker::new(dag);
+        let start = rng.gen_range(0..n.max(1));
+        for (j, step) in schedule.steps.iter().enumerate() {
+            if j >= start {
+                let swap = tracker.ready_set().into_iter().find_map(|low| {
+                    let later = step_of[low.index()].filter(|&k| k > j)?;
+                    let i = step
+                        .iter()
+                        .position(|&u| dom.lt(dag.priority_of(low), dag.priority_of(u)))?;
+                    Some((low, later, i))
+                });
+                if let Some((low, later, i)) = swap {
+                    let mut m = schedule.clone();
+                    let high = m.steps[j][i];
+                    m.steps[j][i] = low;
+                    let k = m.steps[later].iter().position(|&x| x == low).unwrap();
+                    m.steps[later][k] = high;
+                    out.push(m);
+                    break;
+                }
+            }
+            for &v in step {
+                tracker.execute(dag, v);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn is_prompt_matches_the_reference_on_schedules_and_mutants() {
+        let mut rng = StdRng::seed_from_u64(0x9B0_3A7);
+        let (mut prompt, mut not_prompt) = (0, 0);
+        for (g, dag) in differential_corpus().iter().enumerate() {
+            for p in 1..=3 {
+                for schedule in [
+                    prompt_schedule(dag, p),
+                    weak_respecting_prompt_schedule(dag, p),
+                ] {
+                    let mut cases = vec![schedule.clone()];
+                    for _ in 0..4 {
+                        cases.extend(mutants(dag, &schedule, &mut rng));
+                    }
+                    for case in &cases {
+                        let verdict = case.is_prompt(dag);
+                        assert_eq!(
+                            verdict,
+                            is_prompt_reference(case, dag),
+                            "graph {g} P={p}: {case:?}"
+                        );
+                        if verdict {
+                            prompt += 1;
+                        } else {
+                            not_prompt += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            prompt >= 100 && not_prompt >= 100,
+            "both verdicts must be exercised: {prompt} prompt, {not_prompt} not"
+        );
+    }
 
     /// main = [m0, m1], child = [c0]; create(m0, child); weak(c0, m1).
     fn weak_graph() -> (CostDag, VertexId, VertexId, VertexId) {

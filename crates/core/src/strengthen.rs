@@ -74,32 +74,52 @@ pub fn strengthening(dag: &CostDag, a: ThreadId) -> StrengthenedDag {
     strengthening_with(dag, a, &reach)
 }
 
+/// Definition 2's trigger for thread `a`: whether the a-strengthening
+/// rewrites the strong edge `(u₀, u)`.  The single definition that both
+/// [`strengthening_with`] and [`strengthening_is_identity`] apply.
+///
+/// As in the well-formedness check, the transformation is restricted to
+/// edges whose source is strictly lower priority than `a` itself — those
+/// are the vertices that cannot be charged to competitor work and must
+/// therefore leave the critical path.
+fn trigger<'a>(
+    dag: &'a CostDag,
+    a: ThreadId,
+    reach: &'a Reachability,
+) -> impl Fn(VertexId, VertexId) -> bool + 'a {
+    let s = dag.first_vertex(a);
+    let t = dag.last_vertex(a);
+    let dom = dag.domain();
+    let rho_a = dag.thread_priority(a);
+    move |u0, u| {
+        reach.is_strong_ancestor(u, t)
+            && !dom.leq(dag.priority_of(u), dag.priority_of(u0))
+            && !dom.leq(rho_a, dag.priority_of(u0))
+            && !reach.is_ancestor(u, s)
+    }
+}
+
+/// Whether the a-strengthening of `dag` is the identity: no strong edge
+/// meets Definition 2's trigger, so `ĝₐ` has exactly the base graph's edges
+/// and the a-span may walk the base graph instead of a rewritten copy.
+pub(crate) fn strengthening_is_identity(dag: &CostDag, a: ThreadId, reach: &Reachability) -> bool {
+    let triggers = trigger(dag, a, reach);
+    !dag.strong_edges().any(|e| triggers(e.from, e.to))
+}
+
 /// Like [`strengthening`] but reuses an existing [`Reachability`] analysis.
 pub fn strengthening_with(dag: &CostDag, a: ThreadId, reach: &Reachability) -> StrengthenedDag {
     let s = dag.first_vertex(a);
     let t = dag.last_vertex(a);
-    let dom = dag.domain();
+    let triggers = trigger(dag, a, reach);
 
     let mut edges: Vec<Edge> = Vec::with_capacity(dag.edges().len());
     let mut removed = Vec::new();
     let mut added = Vec::new();
 
-    let rho_a = dag.thread_priority(a);
     for e in dag.edges() {
-        if !e.kind.is_strong() {
-            edges.push(*e);
-            continue;
-        }
         let (u0, u) = (e.from, e.to);
-        // As in the well-formedness check, the transformation is restricted
-        // to edges whose source is strictly lower priority than `a` itself —
-        // those are the vertices that cannot be charged to competitor work
-        // and must therefore leave the critical path.
-        let triggers = reach.is_strong_ancestor(u, t)
-            && !dom.leq(dag.priority_of(u), dag.priority_of(u0))
-            && !dom.leq(rho_a, dag.priority_of(u0))
-            && !reach.is_ancestor(u, s);
-        if !triggers {
+        if !e.kind.is_strong() || !triggers(u0, u) {
             edges.push(*e);
             continue;
         }

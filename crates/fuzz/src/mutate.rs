@@ -1,8 +1,8 @@
 //! Source-level mutation testing of the workspace's hot paths, in the
-//! spirit of Mull: mechanically mutate the scheduler, solver, tracer,
-//! bound-check, well-formedness and runtime-pool implementations, rerun
-//! each module's own test suite against every mutant, and report the
-//! mutants the suite fails to kill.
+//! spirit of Mull: mechanically mutate the scheduler, promptness check,
+//! solver, tracer, bound-check, well-formedness and runtime-pool
+//! implementations, rerun each module's own test suite against every
+//! mutant, and report the mutants the suite fails to kill.
 //!
 //! A *surviving* mutant is a hole in the test suite: a semantic change to a
 //! hot path that no targeted test notices.  The campaign does not demand
@@ -31,8 +31,8 @@ use std::time::{Duration, Instant};
 /// responsible for killing its mutants.
 #[derive(Debug, Clone, Copy)]
 pub struct MutationTarget {
-    /// Short module label (`scheduler`, `solver`, `tracer`, `bound`,
-    /// `wellformed`, `pool`).
+    /// Short module label (`scheduler`, `schedule`, `solver`, `tracer`,
+    /// `bound`, `wellformed`, `pool`).
     pub module: &'static str,
     /// Cargo package the file belongs to.
     pub package: &'static str,
@@ -46,10 +46,11 @@ pub struct MutationTarget {
     pub functions: &'static [(&'static str, Option<&'static str>)],
 }
 
-/// The six hot paths under test: the bucketed prompt scheduler, the
-/// priority-constraint solver, the trace reconstructor's schedule builder,
-/// the Theorem 2.3 bound check, the Definition 1 and 4 well-formedness
-/// checks, and the runtime's push / help-pop / park paths.
+/// The seven hot paths under test: the bucketed prompt scheduler, the
+/// promptness check, the priority-constraint solver, the trace
+/// reconstructor's schedule builder, the Theorem 2.3 bound check (with the
+/// per-thread metrics), the Definition 1 and 4 well-formedness checks, and
+/// the runtime's push / help-pop / park paths.
 pub const TARGETS: &[MutationTarget] = &[
     MutationTarget {
         module: "scheduler",
@@ -66,6 +67,13 @@ pub const TARGETS: &[MutationTarget] = &[
         functions: &[("solve", None), ("search", None)],
     },
     MutationTarget {
+        module: "schedule",
+        package: "rp-core",
+        file: "crates/core/src/schedule.rs",
+        test_filter: "schedule::tests",
+        functions: &[("is_prompt", Some("true"))],
+    },
+    MutationTarget {
         module: "tracer",
         package: "rp-core",
         file: "crates/core/src/trace.rs",
@@ -78,6 +86,7 @@ pub const TARGETS: &[MutationTarget] = &[
         file: "crates/core/src/bound.rs",
         test_filter: "bound::tests",
         functions: &[
+            ("thread_metrics", None),
             ("report_with", None),
             ("check_schedule", None),
             ("is_counterexample", Some("false")),
