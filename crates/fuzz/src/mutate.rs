@@ -1,8 +1,8 @@
 //! Source-level mutation testing of the workspace's hot paths, in the
 //! spirit of Mull: mechanically mutate the scheduler, promptness check,
-//! solver, tracer, bound-check, well-formedness and runtime-pool
-//! implementations, rerun each module's own test suite against every
-//! mutant, and report the mutants the suite fails to kill.
+//! solver, tracer, bound-check, well-formedness, runtime-pool and λ⁴ᵢ
+//! substitution implementations, rerun each module's own test suite against
+//! every mutant, and report the mutants the suite fails to kill.
 //!
 //! A *surviving* mutant is a hole in the test suite: a semantic change to a
 //! hot path that no targeted test notices.  The campaign does not demand
@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy)]
 pub struct MutationTarget {
     /// Short module label (`scheduler`, `schedule`, `solver`, `tracer`,
-    /// `bound`, `wellformed`, `pool`).
+    /// `bound`, `wellformed`, `pool`, `subst`).
     pub module: &'static str,
     /// Cargo package the file belongs to.
     pub package: &'static str,
@@ -46,11 +46,13 @@ pub struct MutationTarget {
     pub functions: &'static [(&'static str, Option<&'static str>)],
 }
 
-/// The seven hot paths under test: the bucketed prompt scheduler, the
+/// The eight hot paths under test: the bucketed prompt scheduler, the
 /// promptness check, the priority-constraint solver, the trace
 /// reconstructor's schedule builder, the Theorem 2.3 bound check (with the
-/// per-thread metrics), the Definition 1 and 4 well-formedness checks, and
-/// the runtime's push / help-pop / park paths.
+/// per-thread metrics), the Definition 1 and 4 well-formedness checks, the
+/// runtime's push / help-pop / park paths, and the λ⁴ᵢ substitution both
+/// back ends run at every step (in place, copy on write for shared
+/// commands, skipped when the variable is not free).
 pub const TARGETS: &[MutationTarget] = &[
     MutationTarget {
         module: "scheduler",
@@ -112,6 +114,17 @@ pub const TARGETS: &[MutationTarget] = &[
             ("push_task", None),
             ("pop_task", Some("None")),
             ("park", None),
+        ],
+    },
+    MutationTarget {
+        module: "subst",
+        package: "rp-lambda4i",
+        file: "crates/lambda4i/src/syntax.rs",
+        test_filter: "syntax::tests",
+        functions: &[
+            ("subst_in_place", None),
+            ("subst_arc", None),
+            ("mentions", Some("false")),
         ],
     },
 ];

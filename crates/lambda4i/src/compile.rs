@@ -26,7 +26,7 @@
 //! topological order.  A partial order is linearised, which refines (never
 //! violates) the program's `⪯` facts.
 
-use crate::syntax::{Cmd, Expr, PrimOp, Program};
+use crate::syntax::{subst_arc, Cmd, Expr, LocId, PrimOp, Program};
 use rp_core::trace::ExecutionTrace;
 use rp_icilk::future::IFuture;
 use rp_icilk::runtime::{Runtime, RuntimeConfig};
@@ -159,17 +159,24 @@ impl Lowerer {
     }
 
     /// Executes a command, returning its value.  Sequencing (`bind`, `dcl`)
-    /// is iterative so long chains do not grow the worker stack.
-    fn exec(&self, m: &Cmd) -> TaskResult {
-        let mut cur: Cmd = m.clone();
+    /// is iterative so long chains do not grow the worker stack.  A command
+    /// no one else holds is taken apart by value; a shared one (the cached
+    /// program's main command) is copied.
+    fn exec(&self, m: Arc<Cmd>) -> TaskResult {
+        let mut cur = Arc::unwrap_or_clone(m);
         loop {
             match cur {
-                Cmd::Bind { var, expr, rest } => {
-                    let v = self.eval(&expr)?;
+                Cmd::Bind {
+                    var,
+                    expr,
+                    mut rest,
+                } => {
+                    let v = self.eval(*expr)?;
                     match v {
                         Expr::CmdVal(_, inner) => {
-                            let r = self.exec(&inner)?;
-                            cur = rest.subst(&var, &r);
+                            let r = self.exec(inner)?;
+                            subst_arc(&mut rest, &var, &r);
+                            cur = Arc::unwrap_or_clone(rest);
                         }
                         other => {
                             return Err(EvalError::Stuck(format!("bind of non-command {other:?}")))
@@ -177,12 +184,16 @@ impl Lowerer {
                     }
                 }
                 Cmd::Dcl {
-                    var, init, body, ..
+                    var,
+                    init,
+                    mut body,
+                    ..
                 } => {
-                    let v = self.eval(&init)?;
+                    let v = self.eval(*init)?;
                     let loc = self.next_loc.fetch_add(1, Ordering::Relaxed);
                     self.heap.lock().expect("heap lock").insert(loc, v);
-                    cur = body.subst(&var, &Expr::RefVal(crate::syntax::LocId(loc)));
+                    subst_arc(&mut body, &var, &Expr::RefVal(LocId(loc)));
+                    cur = Arc::unwrap_or_clone(body);
                 }
                 Cmd::Fcreate { prio, body, .. } => {
                     let domain_prio = prio
@@ -190,10 +201,9 @@ impl Lowerer {
                         .ok_or_else(|| EvalError::UnresolvedPriority(prio.to_string()))?;
                     let tid = self.next_tid.fetch_add(1, Ordering::Relaxed);
                     let child = self.clone();
-                    let child_body = body.clone();
-                    let future = self.rt.fcreate(self.runtime_prio(domain_prio), move || {
-                        child.exec(&child_body)
-                    });
+                    let future = self
+                        .rt
+                        .fcreate(self.runtime_prio(domain_prio), move || child.exec(body));
                     self.futures
                         .lock()
                         .expect("futures lock")
@@ -201,7 +211,7 @@ impl Lowerer {
                     return Ok(Expr::Tid(crate::syntax::ThreadSym(tid)));
                 }
                 Cmd::Ftouch(e) => {
-                    let v = self.eval(&e)?;
+                    let v = self.eval(*e)?;
                     let tid = match v {
                         Expr::Tid(a) => a.0,
                         other => {
@@ -220,7 +230,7 @@ impl Lowerer {
                     return self.rt.ftouch(&future);
                 }
                 Cmd::Get(e) => {
-                    let s = self.loc_of(&self.eval(&e)?, "read")?;
+                    let s = self.loc_of(&self.eval(*e)?, "read")?;
                     return self
                         .heap
                         .lock()
@@ -230,8 +240,8 @@ impl Lowerer {
                         .ok_or(EvalError::DanglingLocation(s));
                 }
                 Cmd::Set(target, value) => {
-                    let s = self.loc_of(&self.eval(&target)?, "assignment")?;
-                    let v = self.eval(&value)?;
+                    let s = self.loc_of(&self.eval(*target)?, "assignment")?;
+                    let v = self.eval(*value)?;
                     let mut heap = self.heap.lock().expect("heap lock");
                     if !heap.contains_key(&s) {
                         return Err(EvalError::DanglingLocation(s));
@@ -244,9 +254,9 @@ impl Lowerer {
                     expected,
                     new,
                 } => {
-                    let s = self.loc_of(&self.eval(&target)?, "cas")?;
-                    let expected = self.eval(&expected)?;
-                    let new = self.eval(&new)?;
+                    let s = self.loc_of(&self.eval(*target)?, "cas")?;
+                    let expected = self.eval(*expected)?;
+                    let new = self.eval(*new)?;
                     // Compare-and-swap is atomic under the store lock.
                     let mut heap = self.heap.lock().expect("heap lock");
                     let cell = heap.get_mut(&s).ok_or(EvalError::DanglingLocation(s))?;
@@ -257,7 +267,7 @@ impl Lowerer {
                         Expr::Nat(0)
                     });
                 }
-                Cmd::Ret(e) => return self.eval(&e),
+                Cmd::Ret(e) => return self.eval(*e),
             }
         }
     }
@@ -272,8 +282,9 @@ impl Lowerer {
     }
 
     /// Big-step evaluation of the pure expression layer, mirroring the
-    /// machine's Figure 11 rules value for value.
-    fn eval(&self, e: &Expr) -> TaskResult {
+    /// machine's Figure 11 rules value for value.  The expression is
+    /// consumed: every substitution rewrites a subterm it already owns.
+    fn eval(&self, e: Expr) -> TaskResult {
         match e {
             Expr::Unit
             | Expr::Nat(_)
@@ -281,46 +292,64 @@ impl Lowerer {
             | Expr::RefVal(_)
             | Expr::Tid(_)
             | Expr::CmdVal(..)
-            | Expr::PLam(..) => Ok(e.clone()),
+            | Expr::PLam(..) => Ok(e),
             Expr::Var(x) => Err(EvalError::Stuck(format!("unbound variable `{x}`"))),
-            Expr::Pair(a, b) => Ok(Expr::Pair(Box::new(self.eval(a)?), Box::new(self.eval(b)?))),
-            Expr::Inl(a) => Ok(Expr::Inl(Box::new(self.eval(a)?))),
-            Expr::Inr(a) => Ok(Expr::Inr(Box::new(self.eval(a)?))),
-            Expr::Let(x, e1, e2) => {
-                let v1 = self.eval(e1)?;
-                self.eval(&e2.subst(x, &v1))
+            Expr::Pair(a, b) => Ok(Expr::Pair(
+                Box::new(self.eval(*a)?),
+                Box::new(self.eval(*b)?),
+            )),
+            Expr::Inl(a) => Ok(Expr::Inl(Box::new(self.eval(*a)?))),
+            Expr::Inr(a) => Ok(Expr::Inr(Box::new(self.eval(*a)?))),
+            Expr::Let(x, e1, mut e2) => {
+                let v1 = self.eval(*e1)?;
+                e2.subst_in_place(&x, &v1);
+                self.eval(*e2)
             }
             Expr::App(f, a) => {
-                let vf = self.eval(f)?;
-                let va = self.eval(a)?;
+                let vf = self.eval(*f)?;
+                let va = self.eval(*a)?;
                 match vf {
-                    Expr::Lam(x, _, body) => self.eval(&body.subst(&x, &va)),
+                    Expr::Lam(x, _, mut body) => {
+                        body.subst_in_place(&x, &va);
+                        self.eval(*body)
+                    }
                     other => Err(EvalError::Stuck(format!("applied non-function {other:?}"))),
                 }
             }
-            Expr::Fst(v) => match self.eval(v)? {
+            Expr::Fst(v) => match self.eval(*v)? {
                 Expr::Pair(a, _) => Ok(*a),
                 other => Err(EvalError::Stuck(format!("fst of non-pair {other:?}"))),
             },
-            Expr::Snd(v) => match self.eval(v)? {
+            Expr::Snd(v) => match self.eval(*v)? {
                 Expr::Pair(_, b) => Ok(*b),
                 other => Err(EvalError::Stuck(format!("snd of non-pair {other:?}"))),
             },
-            Expr::Case(scrut, x, e1, y, e2) => match self.eval(scrut)? {
-                Expr::Inl(a) => self.eval(&e1.subst(x, &a)),
-                Expr::Inr(b) => self.eval(&e2.subst(y, &b)),
+            Expr::Case(scrut, x, mut e1, y, mut e2) => match self.eval(*scrut)? {
+                Expr::Inl(a) => {
+                    e1.subst_in_place(&x, &a);
+                    self.eval(*e1)
+                }
+                Expr::Inr(b) => {
+                    e2.subst_in_place(&y, &b);
+                    self.eval(*e2)
+                }
                 other => Err(EvalError::Stuck(format!("case of non-sum {other:?}"))),
             },
-            Expr::Ifz(cond, zero, x, succ) => match self.eval(cond)? {
-                Expr::Nat(0) => self.eval(zero),
-                Expr::Nat(n) => self.eval(&succ.subst(x, &Expr::Nat(n - 1))),
+            Expr::Ifz(cond, zero, x, mut succ) => match self.eval(*cond)? {
+                Expr::Nat(0) => self.eval(*zero),
+                Expr::Nat(n) => {
+                    succ.subst_in_place(&x, &Expr::Nat(n - 1));
+                    self.eval(*succ)
+                }
                 other => Err(EvalError::Stuck(format!("ifz on non-natural {other:?}"))),
             },
             Expr::Fix(x, ty, body) => {
-                let unrolled = body.subst(x, &Expr::Fix(x.clone(), ty.clone(), body.clone()));
-                self.eval(&unrolled)
+                let fix = Expr::Fix(x.clone(), ty, body.clone());
+                let mut unrolled = *body;
+                unrolled.subst_in_place(&x, &fix);
+                self.eval(unrolled)
             }
-            Expr::Prim(op, a, b) => match (self.eval(a)?, self.eval(b)?) {
+            Expr::Prim(op, a, b) => match (self.eval(*a)?, self.eval(*b)?) {
                 (Expr::Nat(a), Expr::Nat(b)) => {
                     let r = match op {
                         PrimOp::Add => a + b,
@@ -335,8 +364,8 @@ impl Lowerer {
                     "primitive on non-naturals {a:?}, {b:?}"
                 ))),
             },
-            Expr::PApp(v, p) => match self.eval(v)? {
-                Expr::PLam(pi, _, body) => self.eval(&body.subst_prio(&pi, p)),
+            Expr::PApp(v, p) => match self.eval(*v)? {
+                Expr::PLam(pi, _, body) => self.eval(body.subst_prio(&pi, &p)),
                 other => Err(EvalError::Stuck(format!(
                     "priority application of {other:?}"
                 ))),
@@ -406,7 +435,7 @@ pub fn compile_and_run(
     let main_prio = lowerer.runtime_prio(prog.main_priority);
     let task = lowerer.clone();
     let main_cmd = Arc::clone(&prog.main);
-    let main_future = rt.fcreate(main_prio, move || task.exec(&main_cmd));
+    let main_future = rt.fcreate(main_prio, move || task.exec(main_cmd));
     lowerer
         .futures
         .lock()

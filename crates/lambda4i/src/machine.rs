@@ -14,7 +14,7 @@
 //! edge from that vertex and merge the known set, exactly as rules D-Get2,
 //! D-Dcl2, D-Set3 and D-CAS prescribe.
 
-use crate::syntax::{Cmd, Expr, LocId, PrimOp, Program, ThreadSym, Type, Var};
+use crate::syntax::{subst_arc, Cmd, Expr, LocId, PrimOp, Program, ThreadSym, Type, Var};
 use rp_core::build::DagBuilder;
 use rp_core::graph::{CostDag, ThreadId as DagThreadId, VertexId};
 use rp_priority::{PrioTerm, Priority, PriorityDomain};
@@ -597,14 +597,14 @@ impl Machine {
         m: Arc<Cmd>,
         step_index: usize,
     ) -> Result<VertexId, MachineError> {
-        match m.as_ref() {
+        // A command no one else holds is taken apart by value; a shared one
+        // (a cached program, a replayed schedule's continuation) is copied.
+        match Arc::unwrap_or_clone(m) {
             Cmd::Bind { var, expr, rest } => {
                 // D-Bind1.
                 let u = self.fresh_vertex(idx, "bind");
-                self.threads[idx]
-                    .stack
-                    .push(Frame::BindIn(var.clone(), rest.clone()));
-                self.threads[idx].control = Control::EvalExpr((**expr).clone());
+                self.threads[idx].stack.push(Frame::BindIn(var, rest));
+                self.threads[idx].control = Control::EvalExpr(*expr);
                 Ok(u)
             }
             Cmd::Fcreate {
@@ -636,7 +636,7 @@ impl Machine {
                     vertices_created: 0,
                     effects: 0,
                     stack: Vec::new(),
-                    control: Control::EvalCmd(body.clone()),
+                    control: Control::EvalCmd(body),
                 };
                 self.threads.push(entry);
                 self.status.push(ThreadStatus::Runnable);
@@ -655,7 +655,7 @@ impl Machine {
                 // D-Touch1.
                 let u = self.fresh_vertex(idx, "ftouch");
                 self.threads[idx].stack.push(Frame::TouchHole);
-                self.threads[idx].control = Control::EvalExpr((**e).clone());
+                self.threads[idx].control = Control::EvalExpr(*e);
                 Ok(u)
             }
             Cmd::Dcl {
@@ -666,33 +666,29 @@ impl Machine {
             } => {
                 // D-Dcl1.
                 let u = self.fresh_vertex(idx, "dcl");
-                self.threads[idx]
-                    .stack
-                    .push(Frame::DclIn(ty.clone(), var.clone(), body.clone()));
-                self.threads[idx].control = Control::EvalExpr((**init).clone());
+                self.threads[idx].stack.push(Frame::DclIn(ty, var, body));
+                self.threads[idx].control = Control::EvalExpr(*init);
                 Ok(u)
             }
             Cmd::Get(e) => {
                 // D-Get1.
                 let u = self.fresh_vertex(idx, "get");
                 self.threads[idx].stack.push(Frame::GetHole);
-                self.threads[idx].control = Control::EvalExpr((**e).clone());
+                self.threads[idx].control = Control::EvalExpr(*e);
                 Ok(u)
             }
             Cmd::Set(target, value) => {
                 // D-Set1.
                 let u = self.fresh_vertex(idx, "set");
-                self.threads[idx]
-                    .stack
-                    .push(Frame::SetTarget((**value).clone()));
-                self.threads[idx].control = Control::EvalExpr((**target).clone());
+                self.threads[idx].stack.push(Frame::SetTarget(*value));
+                self.threads[idx].control = Control::EvalExpr(*target);
                 Ok(u)
             }
             Cmd::Ret(e) => {
                 // D-Ret1.
                 let u = self.fresh_vertex(idx, "ret");
                 self.threads[idx].stack.push(Frame::RetHole);
-                self.threads[idx].control = Control::EvalExpr((**e).clone());
+                self.threads[idx].control = Control::EvalExpr(*e);
                 Ok(u)
             }
             Cmd::Cas {
@@ -703,8 +699,8 @@ impl Machine {
                 let u = self.fresh_vertex(idx, "cas");
                 self.threads[idx]
                     .stack
-                    .push(Frame::CasTarget((**expected).clone(), (**new).clone()));
-                self.threads[idx].control = Control::EvalExpr((**target).clone());
+                    .push(Frame::CasTarget(*expected, *new));
+                self.threads[idx].control = Control::EvalExpr(*target);
                 Ok(u)
             }
         }
@@ -754,7 +750,9 @@ impl Machine {
             }
             Expr::Fix(x, ty, body) => {
                 // fix x:τ is e  ↦  [fix x:τ is e / x] e.
-                let unrolled = body.subst(&x, &Expr::Fix(x.clone(), ty, body.clone()));
+                let fix = Expr::Fix(x.clone(), ty, body.clone());
+                let mut unrolled = *body;
+                unrolled.subst_in_place(&x, &fix);
                 t.control = Control::EvalExpr(unrolled);
             }
             Expr::Pair(a, b) => {
@@ -788,49 +786,46 @@ impl Machine {
         v: Expr,
         _step_index: usize,
     ) -> Result<VertexId, MachineError> {
-        let frame = match self.threads[idx].stack.last().cloned() {
-            Some(f) => f,
-            None => {
-                return self.stuck(idx, "value returned to an empty stack");
-            }
+        // The frame is popped by value; the rules that keep it (D-Bind2, a
+        // touch that cannot proceed) push it back.
+        let Some(frame) = self.threads[idx].stack.pop() else {
+            return self.stuck(idx, "value returned to an empty stack");
         };
         match frame {
             // ----- expression frames -----
-            Frame::LetIn(x, e2) => {
+            Frame::LetIn(x, mut e2) => {
                 let u = self.fresh_vertex(idx, "let");
-                self.threads[idx].stack.pop();
-                self.threads[idx].control = Control::EvalExpr(e2.subst(&x, &v));
+                e2.subst_in_place(&x, &v);
+                self.threads[idx].control = Control::EvalExpr(e2);
                 Ok(u)
             }
             Frame::AppFn(arg) => {
                 let u = self.fresh_vertex(idx, "app-fn");
-                self.threads[idx].stack.pop();
                 self.threads[idx].stack.push(Frame::AppArg(v));
                 self.threads[idx].control = Control::EvalExpr(arg);
                 Ok(u)
             }
             Frame::AppArg(fun) => {
                 let u = self.fresh_vertex(idx, "app");
-                self.threads[idx].stack.pop();
                 match fun {
-                    Expr::Lam(x, _ty, body) => {
-                        self.threads[idx].control = Control::EvalExpr(body.subst(&x, &v));
+                    Expr::Lam(x, _ty, mut body) => {
+                        body.subst_in_place(&x, &v);
+                        self.threads[idx].control = Control::EvalExpr(*body);
                         Ok(u)
                     }
                     other => self.stuck(idx, format!("applied non-function {other:?}")),
                 }
             }
-            Frame::IfzCond(zero, x, succ) => {
+            Frame::IfzCond(zero, x, mut succ) => {
                 let u = self.fresh_vertex(idx, "ifz");
-                self.threads[idx].stack.pop();
                 match v {
                     Expr::Nat(0) => {
                         self.threads[idx].control = Control::EvalExpr(zero);
                         Ok(u)
                     }
                     Expr::Nat(n) => {
-                        self.threads[idx].control =
-                            Control::EvalExpr(succ.subst(&x, &Expr::Nat(n - 1)));
+                        succ.subst_in_place(&x, &Expr::Nat(n - 1));
+                        self.threads[idx].control = Control::EvalExpr(succ);
                         Ok(u)
                     }
                     other => self.stuck(idx, format!("ifz on non-natural {other:?}")),
@@ -838,7 +833,6 @@ impl Machine {
             }
             Frame::FstHole => {
                 let u = self.fresh_vertex(idx, "fst");
-                self.threads[idx].stack.pop();
                 match v {
                     Expr::Pair(a, _) => {
                         self.threads[idx].control = Control::RetExpr(*a);
@@ -849,7 +843,6 @@ impl Machine {
             }
             Frame::SndHole => {
                 let u = self.fresh_vertex(idx, "snd");
-                self.threads[idx].stack.pop();
                 match v {
                     Expr::Pair(_, b) => {
                         self.threads[idx].control = Control::RetExpr(*b);
@@ -858,16 +851,17 @@ impl Machine {
                     other => self.stuck(idx, format!("snd of non-pair {other:?}")),
                 }
             }
-            Frame::CaseScrut(x, e1, y, e2) => {
+            Frame::CaseScrut(x, mut e1, y, mut e2) => {
                 let u = self.fresh_vertex(idx, "case");
-                self.threads[idx].stack.pop();
                 match v {
                     Expr::Inl(a) => {
-                        self.threads[idx].control = Control::EvalExpr(e1.subst(&x, &a));
+                        e1.subst_in_place(&x, &a);
+                        self.threads[idx].control = Control::EvalExpr(e1);
                         Ok(u)
                     }
                     Expr::Inr(b) => {
-                        self.threads[idx].control = Control::EvalExpr(e2.subst(&y, &b));
+                        e2.subst_in_place(&y, &b);
+                        self.threads[idx].control = Control::EvalExpr(e2);
                         Ok(u)
                     }
                     other => self.stuck(idx, format!("case of non-sum {other:?}")),
@@ -875,7 +869,6 @@ impl Machine {
             }
             Frame::PAppHole(p) => {
                 let u = self.fresh_vertex(idx, "papp");
-                self.threads[idx].stack.pop();
                 match v {
                     Expr::PLam(pi, _c, body) => {
                         self.threads[idx].control = Control::EvalExpr(body.subst_prio(&pi, &p));
@@ -886,39 +879,33 @@ impl Machine {
             }
             Frame::PairL(b) => {
                 let u = self.fresh_vertex(idx, "pair-l");
-                self.threads[idx].stack.pop();
                 self.threads[idx].stack.push(Frame::PairR(v));
                 self.threads[idx].control = Control::EvalExpr(b);
                 Ok(u)
             }
             Frame::PairR(a) => {
                 let u = self.fresh_vertex(idx, "pair");
-                self.threads[idx].stack.pop();
                 self.threads[idx].control = Control::RetExpr(Expr::Pair(Box::new(a), Box::new(v)));
                 Ok(u)
             }
             Frame::InlHole => {
                 let u = self.fresh_vertex(idx, "inl");
-                self.threads[idx].stack.pop();
                 self.threads[idx].control = Control::RetExpr(Expr::Inl(Box::new(v)));
                 Ok(u)
             }
             Frame::InrHole => {
                 let u = self.fresh_vertex(idx, "inr");
-                self.threads[idx].stack.pop();
                 self.threads[idx].control = Control::RetExpr(Expr::Inr(Box::new(v)));
                 Ok(u)
             }
             Frame::PrimL(op, rhs) => {
                 let u = self.fresh_vertex(idx, "prim-l");
-                self.threads[idx].stack.pop();
                 self.threads[idx].stack.push(Frame::PrimR(op, v));
                 self.threads[idx].control = Control::EvalExpr(rhs);
                 Ok(u)
             }
             Frame::PrimR(op, lhs) => {
                 let u = self.fresh_vertex(idx, "prim");
-                self.threads[idx].stack.pop();
                 match (lhs, v) {
                     (Expr::Nat(a), Expr::Nat(b)) => {
                         let r = match op {
@@ -935,10 +922,11 @@ impl Machine {
                 }
             }
             // ----- command frames -----
-            Frame::BindIn(_, _) => {
+            frame @ Frame::BindIn(_, _) => {
                 // D-Bind2: the value must be an encapsulated command; start
                 // running it, keeping the frame for D-Bind3.
                 let u = self.fresh_vertex(idx, "bind-run");
+                self.threads[idx].stack.push(frame);
                 match v {
                     Expr::CmdVal(_p, m) => {
                         self.threads[idx].control = Control::EvalCmd(m);
@@ -961,6 +949,7 @@ impl Machine {
                                 Some(val) => (val.clone(), target.known.clone(), target.dag_thread),
                                 None => {
                                     // Not actually runnable; restore state.
+                                    self.threads[idx].stack.push(Frame::TouchHole);
                                     self.threads[idx].control = Control::RetExpr(Expr::Tid(b));
                                     return self.stuck(
                                         idx,
@@ -970,7 +959,6 @@ impl Machine {
                             }
                         };
                         let u = self.fresh_vertex(idx, "touch");
-                        self.threads[idx].stack.pop();
                         self.threads[idx].known.extend(target_known);
                         self.threads[idx].control = Control::RetCmd(value);
                         self.builder
@@ -982,10 +970,9 @@ impl Machine {
                     other => self.stuck(idx, format!("ftouch of non-handle {other:?}")),
                 }
             }
-            Frame::DclIn(_ty, var, body) => {
+            Frame::DclIn(_ty, var, mut body) => {
                 // D-Dcl2.
                 let u = self.fresh_vertex(idx, "dcl-alloc");
-                self.threads[idx].stack.pop();
                 let loc = LocId(self.next_loc);
                 self.next_loc += 1;
                 let known = self.threads[idx].known.clone();
@@ -998,8 +985,8 @@ impl Machine {
                         readers: Vec::new(),
                     },
                 );
-                let body_with_ref = body.subst(&var, &Expr::RefVal(loc));
-                self.threads[idx].control = Control::EvalCmd(Arc::new(body_with_ref));
+                subst_arc(&mut body, &var, &Expr::RefVal(loc));
+                self.threads[idx].control = Control::EvalCmd(body);
                 self.record_effect(idx, u, "dcl-alloc", StepEffect::Alloc(loc));
                 Ok(u)
             }
@@ -1010,12 +997,10 @@ impl Machine {
                         let u = self.fresh_vertex(idx, "get-read");
                         let cell = self
                             .heap
-                            .get(&s)
-                            .cloned()
+                            .get_mut(&s)
                             .ok_or(MachineError::DanglingLocation(s))?;
-                        self.threads[idx].stack.pop();
                         self.threads[idx].known.extend(cell.known.iter().copied());
-                        self.threads[idx].control = Control::RetCmd(cell.value);
+                        self.threads[idx].control = Control::RetCmd(cell.value.clone());
                         // The weak edge from the most recent write to this
                         // read.  A read of a cell written by the same thread
                         // is already ordered by continuation edges; the
@@ -1024,11 +1009,7 @@ impl Machine {
                         self.builder
                             .weak(cell.writer, u)
                             .expect("read vertex is fresh");
-                        self.heap
-                            .get_mut(&s)
-                            .expect("cell present above")
-                            .readers
-                            .push(u);
+                        cell.readers.push(u);
                         self.record_effect(idx, u, "get-read", StepEffect::Read(s));
                         Ok(u)
                     }
@@ -1040,7 +1021,6 @@ impl Machine {
                 match v {
                     Expr::RefVal(s) => {
                         let u = self.fresh_vertex(idx, "set-target");
-                        self.threads[idx].stack.pop();
                         self.threads[idx].stack.push(Frame::SetValue(s));
                         self.threads[idx].control = Control::EvalExpr(value_expr);
                         Ok(u)
@@ -1054,7 +1034,6 @@ impl Machine {
                 if !self.heap.contains_key(&s) {
                     return Err(MachineError::DanglingLocation(s));
                 }
-                self.threads[idx].stack.pop();
                 let known = self.threads[idx].known.clone();
                 self.heap.insert(
                     s,
@@ -1072,14 +1051,12 @@ impl Machine {
             Frame::RetHole => {
                 // D-Ret2.
                 let u = self.fresh_vertex(idx, "ret-value");
-                self.threads[idx].stack.pop();
                 self.threads[idx].control = Control::RetCmd(v);
                 Ok(u)
             }
             Frame::CasTarget(expected, new) => match v {
                 Expr::RefVal(s) => {
                     let u = self.fresh_vertex(idx, "cas-target");
-                    self.threads[idx].stack.pop();
                     self.threads[idx].stack.push(Frame::CasExpected(s, new));
                     self.threads[idx].control = Control::EvalExpr(expected);
                     Ok(u)
@@ -1088,7 +1065,6 @@ impl Machine {
             },
             Frame::CasExpected(s, new) => {
                 let u = self.fresh_vertex(idx, "cas-expected");
-                self.threads[idx].stack.pop();
                 self.threads[idx].stack.push(Frame::CasNew(s, v));
                 self.threads[idx].control = Control::EvalExpr(new);
                 Ok(u)
@@ -1098,10 +1074,8 @@ impl Machine {
                 let u = self.fresh_vertex(idx, "cas-apply");
                 let cell = self
                     .heap
-                    .get(&s)
-                    .cloned()
+                    .get_mut(&s)
                     .ok_or(MachineError::DanglingLocation(s))?;
-                self.threads[idx].stack.pop();
                 // A CAS observes the current value, so it behaves like a read
                 // (weak edge + signature merge) whether or not it succeeds.
                 self.threads[idx].known.extend(cell.known.iter().copied());
@@ -1110,25 +1084,17 @@ impl Machine {
                     .expect("cas vertex is fresh");
                 let success = cell.value == expected;
                 if success {
-                    let known = self.threads[idx].known.clone();
-                    self.heap.insert(
-                        s,
-                        HeapCell {
-                            value: v,
-                            writer: u,
-                            readers: Vec::new(),
-                            known,
-                        },
-                    );
+                    *cell = HeapCell {
+                        value: v,
+                        writer: u,
+                        readers: Vec::new(),
+                        known: self.threads[idx].known.clone(),
+                    };
                     self.threads[idx].control = Control::RetCmd(Expr::Nat(1));
                 } else {
                     // A failed CAS still observed the cell, so it counts as
                     // a reader of the surviving write.
-                    self.heap
-                        .get_mut(&s)
-                        .expect("cell present above")
-                        .readers
-                        .push(u);
+                    cell.readers.push(u);
                     self.threads[idx].control = Control::RetCmd(Expr::Nat(0));
                 }
                 self.record_effect(idx, u, "cas-apply", StepEffect::Cas { loc: s, success });
@@ -1144,7 +1110,7 @@ impl Machine {
         v: Expr,
         step_index: usize,
     ) -> Result<VertexId, MachineError> {
-        match self.threads[idx].stack.last().cloned() {
+        match self.threads[idx].stack.pop() {
             None => {
                 // ϵ ◀ ret v: the thread is finished.  The finishing step
                 // itself allocates a final vertex so every thread has at
@@ -1157,11 +1123,11 @@ impl Machine {
                 self.record_effect(idx, u, "finish", StepEffect::Finish);
                 Ok(u)
             }
-            Some(Frame::BindIn(x, m2)) => {
+            Some(Frame::BindIn(x, mut m2)) => {
                 // D-Bind3.
                 let u = self.fresh_vertex(idx, "bind-continue");
-                self.threads[idx].stack.pop();
-                self.threads[idx].control = Control::EvalCmd(Arc::new(m2.subst(&x, &v)));
+                subst_arc(&mut m2, &x, &v);
+                self.threads[idx].control = Control::EvalCmd(m2);
                 Ok(u)
             }
             Some(other) => self.stuck(

@@ -364,77 +364,83 @@ impl Expr {
         }
     }
 
-    /// Capture-avoiding substitution `[v/x]e`.
+    /// Capture-avoiding substitution `[v/x]e`, in place.
     ///
     /// The substituted expression `v` must be closed (the machine only ever
-    /// substitutes closed values), so no renaming is required.
-    pub fn subst(&self, x: &str, v: &Expr) -> Expr {
+    /// substitutes closed values), so no renaming is required.  Encapsulated
+    /// commands are rewritten through [`subst_arc`], so a command this term
+    /// shares with another holder is copied on write, never written through.
+    pub(crate) fn subst_in_place(&mut self, x: &str, v: &Expr) {
         match self {
             Expr::Var(y) => {
                 if y == x {
-                    v.clone()
-                } else {
-                    self.clone()
+                    *self = v.clone();
                 }
             }
-            Expr::Unit | Expr::Nat(_) | Expr::RefVal(_) | Expr::Tid(_) => self.clone(),
-            Expr::Lam(y, ty, body) => {
-                if y == x {
-                    self.clone()
-                } else {
-                    Expr::Lam(y.clone(), ty.clone(), Box::new(body.subst(x, v)))
+            Expr::Unit | Expr::Nat(_) | Expr::RefVal(_) | Expr::Tid(_) => {}
+            Expr::Lam(y, _, body) | Expr::Fix(y, _, body) => {
+                if y != x {
+                    body.subst_in_place(x, v);
                 }
             }
-            Expr::Pair(a, b) => Expr::Pair(Box::new(a.subst(x, v)), Box::new(b.subst(x, v))),
-            Expr::Inl(a) => Expr::Inl(Box::new(a.subst(x, v))),
-            Expr::Inr(a) => Expr::Inr(Box::new(a.subst(x, v))),
-            Expr::CmdVal(p, m) => Expr::CmdVal(p.clone(), Arc::new(m.subst(x, v))),
-            Expr::PLam(pv, c, e) => Expr::PLam(pv.clone(), c.clone(), Box::new(e.subst(x, v))),
-            Expr::PApp(e, p) => Expr::PApp(Box::new(e.subst(x, v)), p.clone()),
+            Expr::Pair(a, b) | Expr::App(a, b) | Expr::Prim(_, a, b) => {
+                a.subst_in_place(x, v);
+                b.subst_in_place(x, v);
+            }
+            Expr::Inl(a)
+            | Expr::Inr(a)
+            | Expr::Fst(a)
+            | Expr::Snd(a)
+            | Expr::PLam(_, _, a)
+            | Expr::PApp(a, _) => a.subst_in_place(x, v),
+            Expr::CmdVal(_, m) => subst_arc(m, x, v),
             Expr::Let(y, e1, e2) => {
-                let e1 = Box::new(e1.subst(x, v));
-                if y == x {
-                    Expr::Let(y.clone(), e1, e2.clone())
-                } else {
-                    Expr::Let(y.clone(), e1, Box::new(e2.subst(x, v)))
+                e1.subst_in_place(x, v);
+                if y != x {
+                    e2.subst_in_place(x, v);
                 }
             }
             Expr::Ifz(cond, z, y, s) => {
-                let cond = Box::new(cond.subst(x, v));
-                let z = Box::new(z.subst(x, v));
-                let s = if y == x {
-                    s.clone()
-                } else {
-                    Box::new(s.subst(x, v))
-                };
-                Expr::Ifz(cond, z, y.clone(), s)
-            }
-            Expr::App(a, b) => Expr::App(Box::new(a.subst(x, v)), Box::new(b.subst(x, v))),
-            Expr::Fst(a) => Expr::Fst(Box::new(a.subst(x, v))),
-            Expr::Snd(a) => Expr::Snd(Box::new(a.subst(x, v))),
-            Expr::Case(scr, y1, e1, y2, e2) => {
-                let scr = Box::new(scr.subst(x, v));
-                let e1 = if y1 == x {
-                    e1.clone()
-                } else {
-                    Box::new(e1.subst(x, v))
-                };
-                let e2 = if y2 == x {
-                    e2.clone()
-                } else {
-                    Box::new(e2.subst(x, v))
-                };
-                Expr::Case(scr, y1.clone(), e1, y2.clone(), e2)
-            }
-            Expr::Fix(y, t, e) => {
-                if y == x {
-                    self.clone()
-                } else {
-                    Expr::Fix(y.clone(), t.clone(), Box::new(e.subst(x, v)))
+                cond.subst_in_place(x, v);
+                z.subst_in_place(x, v);
+                if y != x {
+                    s.subst_in_place(x, v);
                 }
             }
-            Expr::Prim(op, a, b) => {
-                Expr::Prim(*op, Box::new(a.subst(x, v)), Box::new(b.subst(x, v)))
+            Expr::Case(scr, y1, e1, y2, e2) => {
+                scr.subst_in_place(x, v);
+                if y1 != x {
+                    e1.subst_in_place(x, v);
+                }
+                if y2 != x {
+                    e2.subst_in_place(x, v);
+                }
+            }
+        }
+    }
+
+    /// Whether the variable `x` occurs free in the expression.
+    pub(crate) fn mentions(&self, x: &str) -> bool {
+        match self {
+            Expr::Var(y) => y == x,
+            Expr::Unit | Expr::Nat(_) | Expr::RefVal(_) | Expr::Tid(_) => false,
+            Expr::Lam(y, _, body) | Expr::Fix(y, _, body) => y != x && body.mentions(x),
+            Expr::Pair(a, b) | Expr::App(a, b) | Expr::Prim(_, a, b) => {
+                a.mentions(x) || b.mentions(x)
+            }
+            Expr::Inl(a)
+            | Expr::Inr(a)
+            | Expr::Fst(a)
+            | Expr::Snd(a)
+            | Expr::PLam(_, _, a)
+            | Expr::PApp(a, _) => a.mentions(x),
+            Expr::CmdVal(_, m) => m.mentions(x),
+            Expr::Let(y, e1, e2) => e1.mentions(x) || (y != x && e2.mentions(x)),
+            Expr::Ifz(cond, z, y, s) => {
+                cond.mentions(x) || z.mentions(x) || (y != x && s.mentions(x))
+            }
+            Expr::Case(scr, y1, e1, y2, e2) => {
+                scr.mentions(x) || (y1 != x && e1.mentions(x)) || (y2 != x && e2.mentions(x))
             }
         }
     }
@@ -511,63 +517,73 @@ impl Expr {
     /// Substitutes a priority term for a priority variable (`[ρ/π]e`).
     pub fn subst_prio(&self, var: &PrioVar, term: &PrioTerm) -> Expr {
         let s = rp_priority::PrioSubst::single(var.clone(), term.clone());
+        self.subst_prio_single(var, &s)
+    }
+
+    /// `[ρ/π]e` with `s` the one-binding substitution `π ↦ ρ`, built once
+    /// by [`Expr::subst_prio`] and shared by the whole walk.
+    fn subst_prio_single(&self, var: &PrioVar, s: &rp_priority::PrioSubst) -> Expr {
         match self {
             Expr::Var(_) | Expr::Unit | Expr::Nat(_) | Expr::RefVal(_) | Expr::Tid(_) => {
                 self.clone()
             }
             Expr::Lam(y, ty, body) => Expr::Lam(
                 y.clone(),
-                ty.subst_prio(var, term),
-                Box::new(body.subst_prio(var, term)),
+                ty.subst_prio_all(s),
+                Box::new(body.subst_prio_single(var, s)),
             ),
             Expr::Pair(a, b) => Expr::Pair(
-                Box::new(a.subst_prio(var, term)),
-                Box::new(b.subst_prio(var, term)),
+                Box::new(a.subst_prio_single(var, s)),
+                Box::new(b.subst_prio_single(var, s)),
             ),
-            Expr::Inl(a) => Expr::Inl(Box::new(a.subst_prio(var, term))),
-            Expr::Inr(a) => Expr::Inr(Box::new(a.subst_prio(var, term))),
-            Expr::CmdVal(p, m) => Expr::CmdVal(p.subst(&s), Arc::new(m.subst_prio(var, term))),
+            Expr::Inl(a) => Expr::Inl(Box::new(a.subst_prio_single(var, s))),
+            Expr::Inr(a) => Expr::Inr(Box::new(a.subst_prio_single(var, s))),
+            Expr::CmdVal(p, m) => Expr::CmdVal(p.subst(s), Arc::new(m.subst_prio_single(var, s))),
             Expr::PLam(pv, c, e) => {
                 if pv == var {
                     self.clone()
                 } else {
-                    Expr::PLam(pv.clone(), c.subst(&s), Box::new(e.subst_prio(var, term)))
+                    Expr::PLam(
+                        pv.clone(),
+                        c.subst(s),
+                        Box::new(e.subst_prio_single(var, s)),
+                    )
                 }
             }
-            Expr::PApp(e, p) => Expr::PApp(Box::new(e.subst_prio(var, term)), p.subst(&s)),
+            Expr::PApp(e, p) => Expr::PApp(Box::new(e.subst_prio_single(var, s)), p.subst(s)),
             Expr::Let(y, e1, e2) => Expr::Let(
                 y.clone(),
-                Box::new(e1.subst_prio(var, term)),
-                Box::new(e2.subst_prio(var, term)),
+                Box::new(e1.subst_prio_single(var, s)),
+                Box::new(e2.subst_prio_single(var, s)),
             ),
             Expr::Ifz(c, z, y, sc) => Expr::Ifz(
-                Box::new(c.subst_prio(var, term)),
-                Box::new(z.subst_prio(var, term)),
+                Box::new(c.subst_prio_single(var, s)),
+                Box::new(z.subst_prio_single(var, s)),
                 y.clone(),
-                Box::new(sc.subst_prio(var, term)),
+                Box::new(sc.subst_prio_single(var, s)),
             ),
             Expr::App(a, b) => Expr::App(
-                Box::new(a.subst_prio(var, term)),
-                Box::new(b.subst_prio(var, term)),
+                Box::new(a.subst_prio_single(var, s)),
+                Box::new(b.subst_prio_single(var, s)),
             ),
-            Expr::Fst(a) => Expr::Fst(Box::new(a.subst_prio(var, term))),
-            Expr::Snd(a) => Expr::Snd(Box::new(a.subst_prio(var, term))),
+            Expr::Fst(a) => Expr::Fst(Box::new(a.subst_prio_single(var, s))),
+            Expr::Snd(a) => Expr::Snd(Box::new(a.subst_prio_single(var, s))),
             Expr::Case(scr, y1, e1, y2, e2) => Expr::Case(
-                Box::new(scr.subst_prio(var, term)),
+                Box::new(scr.subst_prio_single(var, s)),
                 y1.clone(),
-                Box::new(e1.subst_prio(var, term)),
+                Box::new(e1.subst_prio_single(var, s)),
                 y2.clone(),
-                Box::new(e2.subst_prio(var, term)),
+                Box::new(e2.subst_prio_single(var, s)),
             ),
             Expr::Fix(y, t, e) => Expr::Fix(
                 y.clone(),
-                t.subst_prio(var, term),
-                Box::new(e.subst_prio(var, term)),
+                t.subst_prio_all(s),
+                Box::new(e.subst_prio_single(var, s)),
             ),
             Expr::Prim(op, a, b) => Expr::Prim(
                 *op,
-                Box::new(a.subst_prio(var, term)),
-                Box::new(b.subst_prio(var, term)),
+                Box::new(a.subst_prio_single(var, s)),
+                Box::new(b.subst_prio_single(var, s)),
             ),
         }
     }
@@ -575,63 +591,56 @@ impl Expr {
 
 impl Cmd {
     /// Capture-avoiding substitution `[v/x]m` of a closed value into a
-    /// command.
-    pub fn subst(&self, x: &str, v: &Expr) -> Cmd {
+    /// command, in place (see [`Expr::subst_in_place`]).
+    pub(crate) fn subst_in_place(&mut self, x: &str, v: &Expr) {
         match self {
-            Cmd::Fcreate {
-                prio,
-                ret_type,
-                body,
-            } => Cmd::Fcreate {
-                prio: prio.clone(),
-                ret_type: ret_type.clone(),
-                body: Arc::new(body.subst(x, v)),
-            },
-            Cmd::Ftouch(e) => Cmd::Ftouch(Box::new(e.subst(x, v))),
+            Cmd::Fcreate { body, .. } => subst_arc(body, x, v),
+            Cmd::Ftouch(e) | Cmd::Get(e) | Cmd::Ret(e) => e.subst_in_place(x, v),
             Cmd::Dcl {
-                ty,
-                var,
-                init,
-                body,
+                var, init, body, ..
             } => {
-                let init = Box::new(init.subst(x, v));
-                let body = if var == x {
-                    body.clone()
-                } else {
-                    Arc::new(body.subst(x, v))
-                };
-                Cmd::Dcl {
-                    ty: ty.clone(),
-                    var: var.clone(),
-                    init,
-                    body,
+                init.subst_in_place(x, v);
+                if var != x {
+                    subst_arc(body, x, v);
                 }
             }
-            Cmd::Get(e) => Cmd::Get(Box::new(e.subst(x, v))),
-            Cmd::Set(a, b) => Cmd::Set(Box::new(a.subst(x, v)), Box::new(b.subst(x, v))),
+            Cmd::Set(a, b) => {
+                a.subst_in_place(x, v);
+                b.subst_in_place(x, v);
+            }
             Cmd::Bind { var, expr, rest } => {
-                let expr = Box::new(expr.subst(x, v));
-                let rest = if var == x {
-                    rest.clone()
-                } else {
-                    Arc::new(rest.subst(x, v))
-                };
-                Cmd::Bind {
-                    var: var.clone(),
-                    expr,
-                    rest,
+                expr.subst_in_place(x, v);
+                if var != x {
+                    subst_arc(rest, x, v);
                 }
             }
-            Cmd::Ret(e) => Cmd::Ret(Box::new(e.subst(x, v))),
             Cmd::Cas {
                 target,
                 expected,
                 new,
-            } => Cmd::Cas {
-                target: Box::new(target.subst(x, v)),
-                expected: Box::new(expected.subst(x, v)),
-                new: Box::new(new.subst(x, v)),
-            },
+            } => {
+                target.subst_in_place(x, v);
+                expected.subst_in_place(x, v);
+                new.subst_in_place(x, v);
+            }
+        }
+    }
+
+    /// Whether the variable `x` occurs free in the command.
+    pub(crate) fn mentions(&self, x: &str) -> bool {
+        match self {
+            Cmd::Fcreate { body, .. } => body.mentions(x),
+            Cmd::Ftouch(e) | Cmd::Get(e) | Cmd::Ret(e) => e.mentions(x),
+            Cmd::Dcl {
+                var, init, body, ..
+            } => init.mentions(x) || (var != x && body.mentions(x)),
+            Cmd::Set(a, b) => a.mentions(x) || b.mentions(x),
+            Cmd::Bind { var, expr, rest } => expr.mentions(x) || (var != x && rest.mentions(x)),
+            Cmd::Cas {
+                target,
+                expected,
+                new,
+            } => target.mentions(x) || expected.mentions(x) || new.mentions(x),
         }
     }
 
@@ -692,49 +701,69 @@ impl Cmd {
     /// Substitutes a priority term for a priority variable (`[ρ/π]m`).
     pub fn subst_prio(&self, var: &PrioVar, term: &PrioTerm) -> Cmd {
         let s = rp_priority::PrioSubst::single(var.clone(), term.clone());
+        self.subst_prio_single(var, &s)
+    }
+
+    /// `[ρ/π]m` with `s` the one-binding substitution `π ↦ ρ` (see
+    /// [`Expr::subst_prio_single`]).
+    fn subst_prio_single(&self, var: &PrioVar, s: &rp_priority::PrioSubst) -> Cmd {
         match self {
             Cmd::Fcreate {
                 prio,
                 ret_type,
                 body,
             } => Cmd::Fcreate {
-                prio: prio.subst(&s),
-                ret_type: ret_type.subst_prio(var, term),
-                body: Arc::new(body.subst_prio(var, term)),
+                prio: prio.subst(s),
+                ret_type: ret_type.subst_prio_all(s),
+                body: Arc::new(body.subst_prio_single(var, s)),
             },
-            Cmd::Ftouch(e) => Cmd::Ftouch(Box::new(e.subst_prio(var, term))),
+            Cmd::Ftouch(e) => Cmd::Ftouch(Box::new(e.subst_prio_single(var, s))),
             Cmd::Dcl {
                 ty,
                 var: y,
                 init,
                 body,
             } => Cmd::Dcl {
-                ty: ty.subst_prio(var, term),
+                ty: ty.subst_prio_all(s),
                 var: y.clone(),
-                init: Box::new(init.subst_prio(var, term)),
-                body: Arc::new(body.subst_prio(var, term)),
+                init: Box::new(init.subst_prio_single(var, s)),
+                body: Arc::new(body.subst_prio_single(var, s)),
             },
-            Cmd::Get(e) => Cmd::Get(Box::new(e.subst_prio(var, term))),
+            Cmd::Get(e) => Cmd::Get(Box::new(e.subst_prio_single(var, s))),
             Cmd::Set(a, b) => Cmd::Set(
-                Box::new(a.subst_prio(var, term)),
-                Box::new(b.subst_prio(var, term)),
+                Box::new(a.subst_prio_single(var, s)),
+                Box::new(b.subst_prio_single(var, s)),
             ),
             Cmd::Bind { var: y, expr, rest } => Cmd::Bind {
                 var: y.clone(),
-                expr: Box::new(expr.subst_prio(var, term)),
-                rest: Arc::new(rest.subst_prio(var, term)),
+                expr: Box::new(expr.subst_prio_single(var, s)),
+                rest: Arc::new(rest.subst_prio_single(var, s)),
             },
-            Cmd::Ret(e) => Cmd::Ret(Box::new(e.subst_prio(var, term))),
+            Cmd::Ret(e) => Cmd::Ret(Box::new(e.subst_prio_single(var, s))),
             Cmd::Cas {
                 target,
                 expected,
                 new,
             } => Cmd::Cas {
-                target: Box::new(target.subst_prio(var, term)),
-                expected: Box::new(expected.subst_prio(var, term)),
-                new: Box::new(new.subst_prio(var, term)),
+                target: Box::new(target.subst_prio_single(var, s)),
+                expected: Box::new(expected.subst_prio_single(var, s)),
+                new: Box::new(new.subst_prio_single(var, s)),
             },
         }
+    }
+}
+
+/// Substitutes `[v/x]` into a shared command.
+///
+/// A command nobody else holds is rewritten in place.  A shared one (a
+/// cached program, a continuation a replayed schedule also holds) is left as
+/// it is when `x` is not free in it, and is otherwise copied on write
+/// ([`Arc::make_mut`]): the other holders never see the substitution.
+pub(crate) fn subst_arc(m: &mut Arc<Cmd>, x: &str, v: &Expr) {
+    if let Some(owned) = Arc::get_mut(m) {
+        owned.subst_in_place(x, v);
+    } else if m.mentions(x) {
+        Arc::make_mut(m).subst_in_place(x, v);
     }
 }
 
@@ -891,6 +920,144 @@ mod tests {
     use super::dsl::*;
     use super::*;
 
+    /// The by-copy substitution the back ends ran before
+    /// [`Expr::subst_in_place`], kept verbatim as the reference the
+    /// differential tests hold the in-place one to.
+    impl Expr {
+        fn subst(&self, x: &str, v: &Expr) -> Expr {
+            match self {
+                Expr::Var(y) => {
+                    if y == x {
+                        v.clone()
+                    } else {
+                        self.clone()
+                    }
+                }
+                Expr::Unit | Expr::Nat(_) | Expr::RefVal(_) | Expr::Tid(_) => self.clone(),
+                Expr::Lam(y, ty, body) => {
+                    if y == x {
+                        self.clone()
+                    } else {
+                        Expr::Lam(y.clone(), ty.clone(), Box::new(body.subst(x, v)))
+                    }
+                }
+                Expr::Pair(a, b) => Expr::Pair(Box::new(a.subst(x, v)), Box::new(b.subst(x, v))),
+                Expr::Inl(a) => Expr::Inl(Box::new(a.subst(x, v))),
+                Expr::Inr(a) => Expr::Inr(Box::new(a.subst(x, v))),
+                Expr::CmdVal(p, m) => Expr::CmdVal(p.clone(), Arc::new(m.subst(x, v))),
+                Expr::PLam(pv, c, e) => Expr::PLam(pv.clone(), c.clone(), Box::new(e.subst(x, v))),
+                Expr::PApp(e, p) => Expr::PApp(Box::new(e.subst(x, v)), p.clone()),
+                Expr::Let(y, e1, e2) => {
+                    let e1 = Box::new(e1.subst(x, v));
+                    if y == x {
+                        Expr::Let(y.clone(), e1, e2.clone())
+                    } else {
+                        Expr::Let(y.clone(), e1, Box::new(e2.subst(x, v)))
+                    }
+                }
+                Expr::Ifz(cond, z, y, s) => {
+                    let cond = Box::new(cond.subst(x, v));
+                    let z = Box::new(z.subst(x, v));
+                    let s = if y == x {
+                        s.clone()
+                    } else {
+                        Box::new(s.subst(x, v))
+                    };
+                    Expr::Ifz(cond, z, y.clone(), s)
+                }
+                Expr::App(a, b) => Expr::App(Box::new(a.subst(x, v)), Box::new(b.subst(x, v))),
+                Expr::Fst(a) => Expr::Fst(Box::new(a.subst(x, v))),
+                Expr::Snd(a) => Expr::Snd(Box::new(a.subst(x, v))),
+                Expr::Case(scr, y1, e1, y2, e2) => {
+                    let scr = Box::new(scr.subst(x, v));
+                    let e1 = if y1 == x {
+                        e1.clone()
+                    } else {
+                        Box::new(e1.subst(x, v))
+                    };
+                    let e2 = if y2 == x {
+                        e2.clone()
+                    } else {
+                        Box::new(e2.subst(x, v))
+                    };
+                    Expr::Case(scr, y1.clone(), e1, y2.clone(), e2)
+                }
+                Expr::Fix(y, t, e) => {
+                    if y == x {
+                        self.clone()
+                    } else {
+                        Expr::Fix(y.clone(), t.clone(), Box::new(e.subst(x, v)))
+                    }
+                }
+                Expr::Prim(op, a, b) => {
+                    Expr::Prim(*op, Box::new(a.subst(x, v)), Box::new(b.subst(x, v)))
+                }
+            }
+        }
+    }
+
+    /// The by-copy command substitution, kept as the reference (see above).
+    impl Cmd {
+        fn subst(&self, x: &str, v: &Expr) -> Cmd {
+            match self {
+                Cmd::Fcreate {
+                    prio,
+                    ret_type,
+                    body,
+                } => Cmd::Fcreate {
+                    prio: prio.clone(),
+                    ret_type: ret_type.clone(),
+                    body: Arc::new(body.subst(x, v)),
+                },
+                Cmd::Ftouch(e) => Cmd::Ftouch(Box::new(e.subst(x, v))),
+                Cmd::Dcl {
+                    ty,
+                    var,
+                    init,
+                    body,
+                } => {
+                    let init = Box::new(init.subst(x, v));
+                    let body = if var == x {
+                        body.clone()
+                    } else {
+                        Arc::new(body.subst(x, v))
+                    };
+                    Cmd::Dcl {
+                        ty: ty.clone(),
+                        var: var.clone(),
+                        init,
+                        body,
+                    }
+                }
+                Cmd::Get(e) => Cmd::Get(Box::new(e.subst(x, v))),
+                Cmd::Set(a, b) => Cmd::Set(Box::new(a.subst(x, v)), Box::new(b.subst(x, v))),
+                Cmd::Bind { var, expr, rest } => {
+                    let expr = Box::new(expr.subst(x, v));
+                    let rest = if var == x {
+                        rest.clone()
+                    } else {
+                        Arc::new(rest.subst(x, v))
+                    };
+                    Cmd::Bind {
+                        var: var.clone(),
+                        expr,
+                        rest,
+                    }
+                }
+                Cmd::Ret(e) => Cmd::Ret(Box::new(e.subst(x, v))),
+                Cmd::Cas {
+                    target,
+                    expected,
+                    new,
+                } => Cmd::Cas {
+                    target: Box::new(target.subst(x, v)),
+                    expected: Box::new(expected.subst(x, v)),
+                    new: Box::new(new.subst(x, v)),
+                },
+            }
+        }
+    }
+
     #[test]
     fn values_are_recognised() {
         assert!(nat(3).is_value());
@@ -903,44 +1070,293 @@ mod tests {
         assert!(!pair(app(lam("x", Type::Nat, var("x")), nat(1)), nat(2)).is_value());
     }
 
+    /// `[v/x]e` through [`Expr::subst_in_place`], on a copy.
+    fn substituted(e: &Expr, x: &str, v: &Expr) -> Expr {
+        let mut out = e.clone();
+        out.subst_in_place(x, v);
+        out
+    }
+
+    /// `[v/x]m` through [`Cmd::subst_in_place`], on a copy.
+    fn substituted_cmd(m: &Cmd, x: &str, v: &Expr) -> Cmd {
+        let mut out = m.clone();
+        out.subst_in_place(x, v);
+        out
+    }
+
     #[test]
     fn subst_replaces_free_occurrences_only() {
         let e = let_("y", var("x"), add(var("x"), var("y")));
-        let r = e.subst("x", &nat(7));
+        let r = substituted(&e, "x", &nat(7));
         assert_eq!(r, let_("y", nat(7), add(nat(7), var("y"))));
     }
 
     #[test]
     fn subst_respects_shadowing() {
         let e = lam("x", Type::Nat, var("x"));
-        assert_eq!(e.subst("x", &nat(1)), e);
+        assert_eq!(substituted(&e, "x", &nat(1)), e);
         let e = let_("x", var("x"), var("x"));
         // The bound expression is in scope of the outer x; the body is not.
-        assert_eq!(e.subst("x", &nat(2)), let_("x", nat(2), var("x")));
+        assert_eq!(substituted(&e, "x", &nat(2)), let_("x", nat(2), var("x")));
         let e = ifz(var("n"), nat(0), "n", var("n"));
-        assert_eq!(e.subst("n", &nat(5)), ifz(nat(5), nat(0), "n", var("n")));
+        assert_eq!(
+            substituted(&e, "n", &nat(5)),
+            ifz(nat(5), nat(0), "n", var("n"))
+        );
     }
 
     #[test]
     fn subst_into_commands() {
         let m = bind("y", var("c"), ret(add(var("x"), var("y"))));
-        let m2 = m.subst("x", &nat(3));
-        match &m2 {
-            Cmd::Bind { rest, .. } => match rest.as_ref() {
-                Cmd::Ret(e) => assert_eq!(**e, add(nat(3), var("y"))),
-                other => panic!("unexpected rest {other:?}"),
-            },
-            other => panic!("unexpected {other:?}"),
+        assert_eq!(
+            substituted_cmd(&m, "x", &nat(3)),
+            bind("y", var("c"), ret(add(nat(3), var("y"))))
+        );
+        // The bound variable is not free in the continuation.
+        assert_eq!(substituted_cmd(&m, "y", &nat(9)), m);
+    }
+
+    /// One shadowing case per binder: the binder's own scope is left alone,
+    /// everything outside it (a `let`'s bound expression, an `ifz`'s
+    /// condition and zero branch, a `case`'s scrutinee and other branch, a
+    /// `bind`'s expression, a `dcl`'s initialiser) is substituted.
+    #[test]
+    fn subst_in_place_respects_every_binder() {
+        let p = PriorityDomain::single().by_index(0);
+        let v = nat(2);
+        let exprs = [
+            // let
+            (let_("x", var("x"), var("x")), let_("x", nat(2), var("x"))),
+            // λ
+            (lam("x", Type::Nat, var("x")), lam("x", Type::Nat, var("x"))),
+            // fix
+            (fix("x", Type::Nat, var("x")), fix("x", Type::Nat, var("x"))),
+            // ifz
+            (
+                ifz(var("x"), var("x"), "x", var("x")),
+                ifz(nat(2), nat(2), "x", var("x")),
+            ),
+            // case: shadowed in the left branch only
+            (
+                Expr::Case(
+                    Box::new(var("x")),
+                    "x".into(),
+                    Box::new(var("x")),
+                    "y".into(),
+                    Box::new(var("x")),
+                ),
+                Expr::Case(
+                    Box::new(nat(2)),
+                    "x".into(),
+                    Box::new(var("x")),
+                    "y".into(),
+                    Box::new(nat(2)),
+                ),
+            ),
+        ];
+        for (e, want) in exprs {
+            assert_eq!(substituted(&e, "x", &v), want, "{e:?}");
+            assert_eq!(e.subst("x", &v), want, "reference on {e:?}");
         }
-        // Binding variable shadows.
-        let m3 = m.subst("y", &nat(9));
-        match &m3 {
-            Cmd::Bind { rest, .. } => match rest.as_ref() {
-                Cmd::Ret(e) => assert_eq!(**e, add(var("x"), var("y"))),
-                other => panic!("unexpected rest {other:?}"),
-            },
-            other => panic!("unexpected {other:?}"),
+        let cmds = [
+            // bind
+            (
+                bind("x", var("x"), ret(var("x"))),
+                bind("x", nat(2), ret(var("x"))),
+            ),
+            // dcl
+            (
+                dcl("x", Type::Nat, var("x"), ret(var("x"))),
+                dcl("x", Type::Nat, nat(2), ret(var("x"))),
+            ),
+            // an encapsulated command under a binder of another name
+            (
+                bind("y", cmd(p, ret(var("x"))), ret(var("x"))),
+                bind("y", cmd(p, ret(nat(2))), ret(nat(2))),
+            ),
+        ];
+        for (m, want) in cmds {
+            assert_eq!(substituted_cmd(&m, "x", &v), want, "{m:?}");
+            assert_eq!(m.subst("x", &v), want, "reference on {m:?}");
         }
+    }
+
+    /// A subterm under test.
+    enum Term {
+        Expr(Expr),
+        Cmd(Cmd),
+    }
+
+    /// Pushes every subterm of `m` (itself included) and records every
+    /// variable name it binds or uses.
+    fn collect_cmd(m: &Cmd, out: &mut Vec<Term>, names: &mut Vec<Var>) {
+        out.push(Term::Cmd(m.clone()));
+        match m {
+            Cmd::Fcreate { body, .. } => collect_cmd(body, out, names),
+            Cmd::Ftouch(e) | Cmd::Get(e) | Cmd::Ret(e) => collect_expr(e, out, names),
+            Cmd::Dcl {
+                var, init, body, ..
+            } => {
+                names.push(var.clone());
+                collect_expr(init, out, names);
+                collect_cmd(body, out, names);
+            }
+            Cmd::Set(a, b) => {
+                collect_expr(a, out, names);
+                collect_expr(b, out, names);
+            }
+            Cmd::Bind { var, expr, rest } => {
+                names.push(var.clone());
+                collect_expr(expr, out, names);
+                collect_cmd(rest, out, names);
+            }
+            Cmd::Cas {
+                target,
+                expected,
+                new,
+            } => {
+                collect_expr(target, out, names);
+                collect_expr(expected, out, names);
+                collect_expr(new, out, names);
+            }
+        }
+    }
+
+    /// [`collect_cmd`] for expressions.
+    fn collect_expr(e: &Expr, out: &mut Vec<Term>, names: &mut Vec<Var>) {
+        out.push(Term::Expr(e.clone()));
+        match e {
+            Expr::Var(y) => names.push(y.clone()),
+            Expr::Unit | Expr::Nat(_) | Expr::RefVal(_) | Expr::Tid(_) => {}
+            Expr::Lam(y, _, a) | Expr::Fix(y, _, a) => {
+                names.push(y.clone());
+                collect_expr(a, out, names);
+            }
+            Expr::Inl(a)
+            | Expr::Inr(a)
+            | Expr::Fst(a)
+            | Expr::Snd(a)
+            | Expr::PLam(_, _, a)
+            | Expr::PApp(a, _) => collect_expr(a, out, names),
+            Expr::Pair(a, b) | Expr::App(a, b) | Expr::Prim(_, a, b) => {
+                collect_expr(a, out, names);
+                collect_expr(b, out, names);
+            }
+            Expr::CmdVal(_, m) => collect_cmd(m, out, names),
+            Expr::Let(y, a, b) => {
+                names.push(y.clone());
+                collect_expr(a, out, names);
+                collect_expr(b, out, names);
+            }
+            Expr::Ifz(c, z, y, b) => {
+                names.push(y.clone());
+                collect_expr(c, out, names);
+                collect_expr(z, out, names);
+                collect_expr(b, out, names);
+            }
+            Expr::Case(sc, y1, a, y2, b) => {
+                names.push(y1.clone());
+                names.push(y2.clone());
+                collect_expr(sc, out, names);
+                collect_expr(a, out, names);
+                collect_expr(b, out, names);
+            }
+        }
+    }
+
+    /// A name no program binds or uses.
+    const ABSENT: &str = "\u{1}absent";
+
+    /// A copy of `m` that shares no command with it: the reference
+    /// substitution of a name that occurs nowhere rebuilds every `Arc`.
+    fn unshared(m: &Cmd) -> Cmd {
+        m.subst(ABSENT, &Expr::Unit)
+    }
+
+    /// Checks `[v/x]` on one command every way the back ends apply it.
+    fn check_cmd(m: &Cmd, x: &str, v: &Expr) {
+        let want = m.subst(x, v);
+        let pristine = unshared(m);
+        assert_eq!(m.mentions(x), want != *m, "mentions({x}) on {m:?}");
+        // In place on a copy whose nested commands are shared with `m`.
+        assert_eq!(substituted_cmd(m, x, v), want, "[{v:?}/{x}] {m:?}");
+        // Through a shared `Arc`: copied on write, or left as it is (the
+        // same allocation) when `x` is not free.
+        let shared = Arc::new(m.clone());
+        let mut arc = Arc::clone(&shared);
+        subst_arc(&mut arc, x, v);
+        assert_eq!(*arc, want, "shared [{v:?}/{x}] {m:?}");
+        assert_eq!(Arc::ptr_eq(&arc, &shared), want == *m, "copy on write");
+        assert_eq!(*shared, pristine, "wrote through a shared command");
+        // Through an `Arc` nobody else holds: rewritten where it is.
+        let mut unique = Arc::new(unshared(m));
+        let at = Arc::as_ptr(&unique);
+        subst_arc(&mut unique, x, v);
+        assert_eq!(*unique, want, "unique [{v:?}/{x}] {m:?}");
+        assert_eq!(Arc::as_ptr(&unique), at, "a unique command was copied");
+        assert_eq!(*m, pristine, "wrote through a shared command");
+    }
+
+    /// Checks `[v/x]` on one expression against the reference.
+    fn check_expr(e: &Expr, x: &str, v: &Expr) {
+        let want = e.subst(x, v);
+        let pristine = e.subst(ABSENT, &Expr::Unit);
+        assert_eq!(e.mentions(x), want != *e, "mentions({x}) on {e:?}");
+        assert_eq!(substituted(e, x, v), want, "[{v:?}/{x}] {e:?}");
+        assert_eq!(*e, pristine, "wrote through a shared command");
+    }
+
+    /// `subst_in_place`, `subst_arc` and `mentions` agree with the by-copy
+    /// reference on every subterm of the fixtures and of 200 generated
+    /// programs, for every variable name the subterm binds or uses (and
+    /// one it does not), with closed values of every shape substituted.
+    #[test]
+    fn subst_in_place_matches_the_reference() {
+        let p = PriorityDomain::single().by_index(0);
+        let values = [
+            nat(7),
+            lam("z", Type::Nat, add(var("z"), nat(1))),
+            fix(
+                "f",
+                Type::arrow(Type::Nat, Type::Nat),
+                lam("n", Type::Nat, app(var("f"), var("n"))),
+            ),
+            cmd(p, bind("w", cmd(p, ret(nat(3))), ret(var("w")))),
+            pair(
+                Expr::RefVal(LocId(4)),
+                Expr::Inl(Box::new(Expr::Tid(ThreadSym(2)))),
+            ),
+        ];
+        let mut programs: Vec<Program> = crate::progs::sources::all()
+            .into_iter()
+            .map(|(_, _, build)| build())
+            .collect();
+        let config = crate::generate::GenConfig::default();
+        programs.extend((0..200).map(|seed| crate::generate::random_program(seed, &config)));
+        let mut checks = 0usize;
+        for prog in &programs {
+            let (mut terms, mut names) = (Vec::new(), Vec::new());
+            collect_cmd(&prog.main, &mut terms, &mut names);
+            for term in &terms {
+                let mut local = Vec::new();
+                match term {
+                    Term::Expr(e) => collect_expr(e, &mut Vec::new(), &mut local),
+                    Term::Cmd(m) => collect_cmd(m, &mut Vec::new(), &mut local),
+                }
+                local.sort();
+                local.dedup();
+                local.push(ABSENT.to_string());
+                for x in &local {
+                    let v = &values[checks % values.len()];
+                    match term {
+                        Term::Expr(e) => check_expr(e, x, v),
+                        Term::Cmd(m) => check_cmd(m, x, v),
+                    }
+                    checks += 1;
+                }
+            }
+        }
+        assert!(checks > 10_000, "only {checks} substitutions checked");
     }
 
     #[test]
