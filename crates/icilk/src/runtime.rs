@@ -536,18 +536,33 @@ impl Runtime {
     /// report an empty runtime while submitted operations were still waiting
     /// on the reactor — see the `drain_waits_for_in_flight_io` regression
     /// test.
+    ///
+    /// The wait backs off from 16 yields to sleeps of 25, 50, 100 and then
+    /// 200 µs: a caller that has just touched the last future usually finds
+    /// its task still finishing on a worker, and a 200 µs sleep at the first
+    /// look would cost far more than that task's tail.
     pub fn drain(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        while self.shared.any_pending() || self.reactor.pending_ops() > 0 {
+        for look in 0u32.. {
+            if !self.shared.any_pending() && self.reactor.pending_ops() == 0 {
+                break;
+            }
             if Instant::now() >= deadline {
                 return false;
             }
-            std::thread::sleep(Duration::from_micros(200));
+            match look.checked_sub(16) {
+                None => std::thread::yield_now(),
+                Some(k) => std::thread::sleep(Duration::from_micros(25 << k.min(3))),
+            }
         }
         true
     }
 
     /// Shuts the runtime down, joining all of its threads.
+    ///
+    /// Called on one of the runtime's own workers (a task dropping the last
+    /// handle), it joins every other thread and leaves that worker to exit
+    /// its loop once the task returns: a thread cannot join itself.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
@@ -559,11 +574,11 @@ impl Runtime {
             h.thread().unpark();
         }
         self.reactor.shutdown();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.master.take() {
-            let _ = h.join();
+        let me = std::thread::current().id();
+        for h in self.workers.drain(..).chain(self.master.take()) {
+            if h.thread().id() != me {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -1013,6 +1028,35 @@ mod tests {
         assert!(
             took < Duration::from_secs(1),
             "start + shutdown took {took:?}"
+        );
+    }
+
+    /// Regression test: a task that dropped the last handle of its own
+    /// runtime made the worker join itself, which panicked it ("Resource
+    /// deadlock avoided"), so the task never completed.
+    #[test]
+    fn dropping_the_last_handle_on_its_own_worker_completes_the_task() {
+        let rt = Arc::new(Runtime::start(RuntimeConfig::new(2, 1)));
+        let p = rt.priority_by_index(0).unwrap();
+        let (dropped_tx, dropped_rx) = std::sync::mpsc::channel::<()>();
+        let rt2 = Arc::clone(&rt);
+        let task = rt.fcreate(p, move || {
+            dropped_rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("the outside handle is dropped");
+            let on_worker = std::thread::current()
+                .name()
+                .is_some_and(|n| n.starts_with("icilk-worker-"));
+            // The last handle: shuts the runtime down from this worker.
+            drop(rt2);
+            on_worker
+        });
+        drop(rt);
+        dropped_tx.send(()).unwrap();
+        assert_eq!(
+            task.wait_clone_timeout(Duration::from_secs(5)),
+            Some(true),
+            "the task dropping its runtime never completed"
         );
     }
 

@@ -2,8 +2,9 @@
 //!
 //! The abstract machine ([`crate::machine`]) executes programs step by step
 //! under a simulated D-Par scheduler.  This module is the other back end:
-//! it lowers a typechecked, fully priority-instantiated [`Program`] onto
-//! [`rp_icilk::runtime::Runtime`] —
+//! it lowers a typechecked, fully priority-instantiated [`Program`] onto a
+//! [`rp_icilk::runtime::Runtime`] that the calling thread keeps running
+//! between programs of the same shape (see [`compile_and_run`]) —
 //!
 //! * each `fcreate[ρ; τ]{m}` becomes a real [`Runtime::fcreate`] task at
 //!   the runtime level corresponding to `ρ`;
@@ -25,17 +26,23 @@
 //! [`RuntimeConfig::for_domain`]: one runtime level per domain level in
 //! topological order.  A partial order is linearised, which refines (never
 //! violates) the program's `⪯` facts.
+//!
+//! A reused runtime hands each program its own trace epoch: the program's
+//! trace is the batch of events recorded since the previous program
+//! ([`Runtime::drain_trace_events`]), labelled with the program's own
+//! level names.
 
 use crate::syntax::{subst_arc, Cmd, Expr, LocId, PrimOp, Program};
 use rp_core::trace::ExecutionTrace;
 use rp_icilk::future::IFuture;
 use rp_icilk::runtime::{Runtime, RuntimeConfig};
 use rp_priority::Priority;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration of a compiled run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -374,8 +381,55 @@ impl Lowerer {
     }
 }
 
-/// Lowers a program onto a fresh rp-icilk runtime and runs it to
-/// completion.
+/// What makes two programs able to share a runtime: worker count, level
+/// count and whether the run is traced.  Level *names* are not part of it —
+/// each program's trace is labelled with its own.
+type Shape = (usize, usize, bool);
+
+thread_local! {
+    /// This thread's idle runtimes, at most one per [`Shape`].
+    ///
+    /// A runtime goes back here after a clean drain and is shut down (its
+    /// threads joined) when the thread exits, so a server worker or a test
+    /// thread leaves no runtime threads behind.  The set is bounded because
+    /// an idle runtime is not free: its master still wakes every 500 µs,
+    /// about 16 ms of CPU per second per idle runtime on a 2-vCPU guest
+    /// (a Baseline-scheduler runtime, which has no master, measured 0).
+    static IDLE_RUNTIMES: RefCell<Vec<(Shape, Arc<Runtime>)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// This thread's idle runtime of `shape`, if it has one.
+fn take_idle(shape: Shape) -> Option<Arc<Runtime>> {
+    IDLE_RUNTIMES
+        .try_with(|idle| {
+            let mut idle = idle.borrow_mut();
+            let i = idle.iter().position(|(s, _)| *s == shape)?;
+            Some(idle.swap_remove(i).1)
+        })
+        .ok()
+        .flatten()
+}
+
+/// Keeps a drained runtime for this thread's next program of `shape`.
+/// When one is already kept (or the thread is exiting), `rt` is dropped
+/// instead, which shuts it down.
+fn keep_idle(shape: Shape, rt: Arc<Runtime>) {
+    let _ = IDLE_RUNTIMES.try_with(|idle| {
+        let mut idle = idle.borrow_mut();
+        if idle.iter().all(|(s, _)| *s != shape) {
+            idle.push((shape, rt));
+        }
+    });
+}
+
+/// Lowers a program onto an rp-icilk runtime and runs it to completion.
+///
+/// The runtime is the calling thread's idle one of the program's shape
+/// (workers, level count, tracing), or a newly started one; after a clean
+/// drain it is kept for the thread's next program of that shape and shut
+/// down when the thread exits.  Each program gets a fresh trace epoch and
+/// its own heap, thread ids and level names, so a reused runtime computes
+/// and traces exactly what a new one would.
 ///
 /// The program must be fully priority-instantiated (no free priority
 /// variables) and should be well-typed — the runtime executes ill-typed
@@ -387,7 +441,8 @@ impl Lowerer {
 /// termination on the machine first, as [`crate::pipeline`] does).  A
 /// diverging *fire-and-forget* thread is bounded by `drain_secs`: the call
 /// returns [`CompileError::DrainTimeout`] and deliberately leaks the
-/// runtime (its workers cannot be joined while a task is stuck).
+/// runtime (its workers cannot be joined while a task is stuck); it is
+/// never reused.
 ///
 /// # Errors
 ///
@@ -410,9 +465,12 @@ pub fn compile_and_run(
         .iter()
         .map(|&p| prog.domain.name(p).to_string())
         .collect();
-    let rt = Arc::new(Runtime::start(
-        RuntimeConfig::for_domain(config.workers, &prog.domain).with_tracing(config.tracing),
-    ));
+    let shape = (config.workers, topo.len(), config.tracing);
+    let rt = take_idle(shape).unwrap_or_else(|| {
+        Arc::new(Runtime::start(
+            RuntimeConfig::for_domain(config.workers, &prog.domain).with_tracing(config.tracing),
+        ))
+    });
     let mut level_map = vec![Priority::from_index(0); prog.domain.len()];
     for (runtime_idx, &domain_prio) in topo.iter().enumerate() {
         level_map[domain_prio.index()] = rt
@@ -444,50 +502,28 @@ pub fn compile_and_run(
 
     let result = rt.ftouch_blocking(&main_future);
     // Fire-and-forget threads may still be running; wait for all of them so
-    // the trace snapshot is complete.
+    // the trace is complete.
     let drained = rt.drain(Duration::from_secs(config.drain_secs));
-    let trace = rt.trace_snapshot();
     let threads_spawned = lowerer.next_tid.load(Ordering::Relaxed) as usize;
-
-    // Task closures drop their `Lowerer` (and its runtime handle) shortly
-    // after the drain; wait (bounded) to be the sole owner before shutting
-    // down.  An undrained runtime has a task that may never finish — its
-    // closure holds a runtime handle forever, so the unwrap could spin
-    // unboundedly; in that case (or if the bounded wait expires) the
-    // runtime is deliberately leaked rather than hanging the caller:
-    // joining the workers from here would block on the stuck task, and the
-    // task's own thread must not be the one to drop the last handle (a
-    // worker cannot join itself).
     drop(lowerer);
-    let mut rt = Some(rt);
-    if drained {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while let Some(shared) = rt.take() {
-            match Arc::try_unwrap(shared) {
-                Ok(owned) => {
-                    owned.shutdown();
-                    break;
-                }
-                Err(shared) => {
-                    if Instant::now() >= deadline {
-                        std::mem::forget(shared);
-                        break;
-                    }
-                    rt = Some(shared);
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-        }
-    } else if let Some(shared) = rt.take() {
-        std::mem::forget(shared);
-    }
-
-    let value = result.map_err(CompileError::Eval)?;
     if !drained {
+        // A task that may never finish holds a handle: joining the workers
+        // would block on it, so the runtime is leaked, not kept or reused.
+        std::mem::forget(rt);
+        result.map_err(CompileError::Eval)?;
         return Err(CompileError::DrainTimeout);
     }
+    // Everything recorded since the previous program, and only that: the
+    // events of a failed run are taken too, so they never reach the next.
+    let trace = rt.drain_trace_events().map(|batch| ExecutionTrace {
+        events: batch.events,
+        num_workers: config.workers.max(1),
+        level_names: level_names.clone(),
+    });
+    keep_idle(shape, rt);
+
     Ok(RuntimeOutcome {
-        value,
+        value: result.map_err(CompileError::Eval)?,
         trace,
         threads_spawned,
         level_names,
@@ -591,20 +627,16 @@ mod tests {
         }
     }
 
-    /// Regression test: with fire-and-forget work still in flight when the
-    /// drain window closes, `compile_and_run` must return `DrainTimeout`
-    /// promptly — the old shutdown path spun on `Arc::try_unwrap` forever
-    /// because the running task's closure holds a runtime handle.
-    #[test]
-    fn drain_timeout_returns_instead_of_hanging() {
+    /// Main spawns 64 slow countdown threads it never touches, then returns
+    /// at once: on one worker, a zero-second drain window closes while they
+    /// are still queued behind main.  Per-thread work stays shallow (the
+    /// big-step evaluator recurses on the worker stack).
+    fn slow_background_program() -> Program {
         use crate::syntax::dsl::*;
         use crate::syntax::Type;
         use rp_priority::PriorityDomain;
         let dom = PriorityDomain::numeric(1);
         let p = dom.by_index(0);
-        // Main spawns slow countdown threads it never touches, then
-        // returns immediately; a zero-second drain window closes while
-        // they are still queued behind main on the single worker.
         let slow = fix(
             "loop",
             Type::arrow(Type::Nat, Type::Nat),
@@ -619,9 +651,6 @@ mod tests {
                 ),
             ),
         );
-        // Shallow per-thread work (the big-step evaluator recurses on the
-        // worker stack), but enough queued threads that a zero-second
-        // drain window closes while they are still pending.
         let mut body: Cmd = ret(nat(0));
         for i in 0..64 {
             body = bind(
@@ -630,16 +659,24 @@ mod tests {
                 body,
             );
         }
-        let prog = Program {
+        Program {
             name: "slow-bg".into(),
             domain: dom,
             main_priority: p,
             main: Arc::new(body),
             return_type: Type::Nat,
-        };
+        }
+    }
+
+    /// Regression test: with fire-and-forget work still in flight when the
+    /// drain window closes, `compile_and_run` must return `DrainTimeout`
+    /// promptly — the old shutdown path spun on `Arc::try_unwrap` forever
+    /// because the running task's closure holds a runtime handle.
+    #[test]
+    fn drain_timeout_returns_instead_of_hanging() {
         let started = std::time::Instant::now();
         let result = compile_and_run(
-            &prog,
+            &slow_background_program(),
             &CompileConfig {
                 workers: 1,
                 tracing: false,
@@ -656,6 +693,82 @@ mod tests {
         if let Err(e) = result {
             assert_eq!(e, CompileError::DrainTimeout);
         }
+    }
+
+    /// The spawns in a traced outcome: one per λ⁴ᵢ thread of the run that
+    /// produced it, and no other run's.
+    fn spawns(out: &RuntimeOutcome) -> usize {
+        let trace = out.trace.as_ref().expect("tracing was on");
+        trace
+            .events
+            .iter()
+            .filter(|e| matches!(e, rp_core::trace::TraceEvent::Spawn { .. }))
+            .count()
+    }
+
+    /// Programs of one, two and three levels interleaved on one thread
+    /// reuse one runtime per shape, and each trace holds exactly its own
+    /// program's threads.
+    #[test]
+    fn interleaved_shapes_keep_their_traces_apart() {
+        let programs = [
+            progs::parallel_fib(5),
+            progs::server_with_background(2, 3),
+            progs::email_coordination_program(),
+        ];
+        for round in 0..3 {
+            for prog in &programs {
+                let out = compile_and_run(prog, &quick(2)).unwrap();
+                let label = format!("{} round {round}", prog.name);
+                assert_eq!(spawns(&out), out.threads_spawned, "{label}");
+                let trace = out.trace.as_ref().unwrap();
+                assert_eq!(trace.level_names, out.level_names, "{label}");
+                let run = trace.reconstruct().expect("trace reconstructs");
+                assert_eq!(run.dag.thread_count(), out.threads_spawned, "{label}");
+                assert_eq!(run.skipped, 0, "{label}");
+            }
+        }
+        let kept = IDLE_RUNTIMES.with(|idle| {
+            let mut shapes: Vec<Shape> = idle.borrow().iter().map(|(s, _)| *s).collect();
+            shapes.sort_unstable();
+            shapes
+        });
+        assert_eq!(kept, vec![(2, 1, true), (2, 2, true), (2, 3, true)]);
+    }
+
+    /// After a drain timeout its runtime is never reused: the next program
+    /// of the same shape succeeds, and its trace holds only its own tasks.
+    #[test]
+    fn a_program_after_a_drain_timeout_traces_only_itself() {
+        let config = CompileConfig {
+            workers: 1,
+            tracing: true,
+            drain_secs: 0,
+        };
+        // Either the window closed with work pending (the usual case) or
+        // everything finished in time; the next program must not notice.
+        match compile_and_run(&slow_background_program(), &config) {
+            Err(e) => assert_eq!(e, CompileError::DrainTimeout),
+            Ok(out) => assert_eq!(spawns(&out), 65),
+        }
+        let fib = progs::parallel_fib(5);
+        let out = compile_and_run(
+            &fib,
+            &CompileConfig {
+                drain_secs: 30,
+                ..config
+            },
+        )
+        .unwrap();
+        assert_eq!(out.value, Expr::Nat(5));
+        assert_eq!(spawns(&out), out.threads_spawned);
+        let run = out
+            .trace
+            .unwrap()
+            .reconstruct()
+            .expect("trace reconstructs");
+        assert_eq!(run.dag.thread_count(), out.threads_spawned);
+        assert_eq!(run.skipped, 0);
     }
 
     #[test]

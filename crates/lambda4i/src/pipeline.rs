@@ -398,6 +398,90 @@ main @ fg:
         assert_eq!(report.counterexamples(), 0);
     }
 
+    /// What a runtime run must reproduce whether its runtime is new or
+    /// reused.  The value is left out for the known-racy fixtures.
+    #[derive(Debug, PartialEq)]
+    struct RuntimeSummary {
+        value: Option<Expr>,
+        threads_spawned: usize,
+        level_names: Vec<String>,
+        /// Reconstructed thread priorities (level indices), sorted.
+        thread_levels: Vec<usize>,
+    }
+
+    /// Runs `prog` on the calling thread's runtime of its shape and checks
+    /// the trace for Theorem 2.3 counterexamples on both schedules.
+    fn summarize(label: &str, prog: &Program, racy: bool) -> RuntimeSummary {
+        let out = compile_and_run(prog, &CompileConfig::default())
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let run = out
+            .trace
+            .as_ref()
+            .expect("tracing is on by default")
+            .reconstruct()
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(run.skipped, 0, "{label}");
+        for r in run
+            .check_observed()
+            .iter()
+            .chain(&run.check_replay(out.workers))
+        {
+            assert!(!r.report.is_counterexample(), "{label}: {r:?}");
+        }
+        let mut thread_levels: Vec<usize> = run
+            .dag
+            .threads()
+            .map(|t| run.dag.thread_priority(t).index())
+            .collect();
+        thread_levels.sort_unstable();
+        RuntimeSummary {
+            value: (!racy).then_some(out.value),
+            threads_spawned: out.threads_spawned,
+            level_names: out.level_names,
+            thread_levels,
+        }
+    }
+
+    /// Differential test of runtime reuse: every fixture and 200 generated
+    /// programs, each run once on a runtime of its own (a new thread) and
+    /// once back to back with all the others on one thread, agree on
+    /// value, threads, level names and reconstructed thread priorities.
+    #[test]
+    fn pooled_runtimes_match_fresh_runtimes() {
+        use crate::generate::{random_program, GenConfig};
+        use crate::progs::sources;
+        let gen = GenConfig {
+            free_prio_probability: 0.4,
+            ..GenConfig::default()
+        };
+        let mut programs: Vec<(String, Program, bool)> = sources::all()
+            .into_iter()
+            .map(|(name, src, _)| {
+                let prog = parse_program(src).unwrap();
+                let racy = matches!(name, "figure1" | "racy-counter");
+                (
+                    name.to_string(),
+                    infer_program(&prog).unwrap().program,
+                    racy,
+                )
+            })
+            .collect();
+        programs.extend((0..200u64).map(|seed| {
+            let prog = infer_program(&random_program(seed, &gen)).unwrap().program;
+            (format!("seed {seed}"), prog, false)
+        }));
+        let fresh: Vec<RuntimeSummary> = programs
+            .iter()
+            .map(|(label, prog, racy)| {
+                std::thread::scope(|s| s.spawn(|| summarize(label, prog, *racy)).join())
+                    .unwrap_or_else(|_| panic!("{label}: fresh run panicked"))
+            })
+            .collect();
+        for ((label, prog, racy), fresh) in programs.iter().zip(&fresh) {
+            assert_eq!(&summarize(label, prog, *racy), fresh, "{label}");
+        }
+    }
+
     #[test]
     fn compile_cache_memoizes_the_front_half_only() {
         let cache = CompileCache::new();
