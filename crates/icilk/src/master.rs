@@ -26,6 +26,13 @@
 //! stopping a runtime does not wait out the rest of a quantum; any other
 //! wake-up re-checks the deadline and parks again.
 //!
+//! An idle runtime costs no CPU: once a re-evaluation finds nothing queued
+//! and nothing run at any level, with every desire already at one (so the
+//! next would change nothing), the master parks without a timeout until a
+//! shutdown or an `fcreate` from outside the pool wakes it (see
+//! `SharedState::park_master`).  Woken every 500 µs instead, an idle
+//! 2-worker runtime's master used 16–18 ms of CPU per second.
+//!
 //! [`Runtime::shutdown`]: crate::runtime::Runtime::shutdown
 
 use crate::pool::SharedState;
@@ -60,10 +67,15 @@ impl Default for MasterConfig {
 /// through [`SharedState::level_load`], updates desires, and recomputes
 /// allotments and the worker→level assignment.  Extracted from the master
 /// loop so it can be unit-tested without threads.
-pub fn rebalance(shared: &SharedState, config: &MasterConfig) {
+///
+/// Returns whether the runtime was quiet: no level had a task pending or
+/// ran one in the quantum, and every desire was already one, so another
+/// re-evaluation without new work would change nothing.
+pub fn rebalance(shared: &SharedState, config: &MasterConfig) -> bool {
     let quantum_nanos = config.quantum.as_nanos().max(1) as f64;
     let num_levels = shared.levels.len();
     let num_workers = shared.num_workers;
+    let mut quiet = true;
 
     // Step 1 & 2: utilization and desire updates.
     for (level_ix, level) in shared.levels.iter().enumerate() {
@@ -78,6 +90,7 @@ pub fn rebalance(shared: &SharedState, config: &MasterConfig) {
         let capacity = (allotment.max(1) as f64) * quantum_nanos;
         let utilization = (busy / capacity).min(1.0);
         let satisfied = allotment >= desire;
+        quiet &= pending == 0 && busy == 0.0 && desire == 1;
         let new_desire = if pending == 0 && busy == 0.0 {
             // Nothing queued and nothing ran: shrink toward one core.
             ((desire as f64) / config.growth).floor().max(1.0) as usize
@@ -122,10 +135,12 @@ pub fn rebalance(shared: &SharedState, config: &MasterConfig) {
         shared.assignment[worker].store(0, Ordering::Relaxed);
         worker += 1;
     }
+    quiet
 }
 
 /// The master thread: rebalances every quantum until shutdown.  Each quantum
-/// is a timed park that only an unpark after a shutdown request cuts short.
+/// is a timed park that only an unpark after a shutdown request cuts short;
+/// after a quiet quantum it parks until new work arrives.
 pub fn master_loop(shared: Arc<SharedState>, config: MasterConfig) {
     while !shared.is_shutting_down() {
         let deadline = Instant::now() + config.quantum;
@@ -139,7 +154,9 @@ pub fn master_loop(shared: Arc<SharedState>, config: MasterConfig) {
                 return;
             }
         }
-        rebalance(&shared, &config);
+        if rebalance(&shared, &config) {
+            shared.park_master();
+        }
     }
 }
 

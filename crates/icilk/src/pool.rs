@@ -48,14 +48,20 @@
 //! Even a wake-up call costs only a fence and a read of the parked count
 //! when nobody is parked, and the task counters are per-thread slots, so
 //! the spawn path writes no cache line another core writes.
+//!
+//! The master parks too, once a quantum leaves nothing to rebalance and no
+//! task is pending anywhere (`SharedState::park_master`).  New work can
+//! then only come from outside the pool, so only such a push looks at the
+//! master (`SharedState::wake_master`); a worker's spawn never does.
 
 use crate::metrics::{thread_ordinal, MetricsCollector, DEFAULT_SHARDS};
 use crate::priority::PrioritySet;
 use crate::trace::TraceCollector;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::Thread;
 use std::time::Instant;
 
 /// A unit of work: the boxed task body plus accounting metadata.
@@ -236,6 +242,11 @@ impl Drop for LevelScope {
     }
 }
 
+/// [`SharedState`]'s state flag: the runtime is shutting down.
+const SHUTDOWN: u8 = 1;
+/// [`SharedState`]'s state flag: the master is parked.
+const MASTER_PARKED: u8 = 2;
+
 /// State shared between the public runtime handle, the workers, the master
 /// scheduler, and the I/O reactor.
 #[derive(Debug)]
@@ -255,8 +266,11 @@ pub struct SharedState {
     /// The worker-owned deque handles, taken once by each worker thread at
     /// startup (`None` after being claimed).
     deques: Mutex<Vec<Option<Worker<Task>>>>,
-    /// Set when the runtime is shutting down.
-    pub shutdown: AtomicBool,
+    /// [`SHUTDOWN`] once the runtime is shutting down, and [`MASTER_PARKED`]
+    /// while the master sleeps in [`SharedState::park_master`].  The two
+    /// flags share one byte so that the master's flag moves none of the
+    /// fields around it, which the spawn path reads.
+    state: AtomicU8,
     /// Workers currently inside [`SharedState::park`].
     parked: AtomicUsize,
     /// Calls to [`SharedState::park`] since start.
@@ -306,7 +320,7 @@ impl SharedState {
             assignment,
             stealers,
             deques: Mutex::new(deques.into_iter().map(Some).collect()),
-            shutdown: AtomicBool::new(false),
+            state: AtomicU8::new(0),
             parked: AtomicUsize::new(0),
             parks: AtomicU64::new(0),
             park_lock: Mutex::new(0),
@@ -385,10 +399,12 @@ impl SharedState {
     ///
     /// A parked worker is woken only for a push from outside the pool or
     /// onto a queue that already held a task (see the module docs).
-    pub fn push_task(&self, task: Task) {
+    /// Returns whether the push came from outside the pool, so the caller
+    /// knows to wake a parked master (`SharedState::wake_master`).
+    pub fn push_task(&self, task: Task) -> bool {
         let level = task.level.min(self.levels.len() - 1);
         self.counters.add(Counter::Pushed, level, 1);
-        let wake = self.with_local(|local| {
+        let (wake, from_outside) = self.with_local(|local| {
             let queue_was_busy = match local {
                 Some(l)
                     if self.kind == PoolKind::Prioritized
@@ -409,11 +425,12 @@ impl SharedState {
                     busy
                 }
             };
-            queue_was_busy || local.is_none()
+            (queue_was_busy || local.is_none(), local.is_none())
         });
         if wake {
             self.wake_one();
         }
+        from_outside
     }
 
     /// Wakes one parked worker, if any.  The fence pairs with the one in
@@ -477,6 +494,38 @@ impl SharedState {
             }
         }
         self.parked.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Parks the master (the calling thread) while no task is pending
+    /// anywhere, until [`SharedState::wake_master`] or a shutdown unparks
+    /// it.  The master calls this only after a quantum in which nothing
+    /// was queued or ran and every desire was already one, so the
+    /// rebalances it skips would have changed nothing.  With no task
+    /// pending no worker runs one (a task's pushes are counted before its
+    /// finish), so new work can only be pushed from outside the pool.
+    pub(crate) fn park_master(&self) {
+        self.state.fetch_or(MASTER_PARKED, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        if !self.any_pending() {
+            // Parked and not shutting down.
+            while self.state.load(Ordering::SeqCst) == MASTER_PARKED {
+                std::thread::park();
+            }
+        }
+        self.state.fetch_and(!MASTER_PARKED, Ordering::SeqCst);
+    }
+
+    /// Unparks `master`, the master's thread, if it is parked.  Called
+    /// after every push from outside the pool: that push ran
+    /// [`SharedState::wake_one`]'s fence, which pairs with the one in
+    /// [`SharedState::park_master`], so either this read sees the master
+    /// parked or the master's pending check sees the task.
+    pub(crate) fn wake_master(&self, master: &Thread) {
+        if self.state.load(Ordering::Relaxed) & MASTER_PARKED != 0
+            && self.state.fetch_and(!MASTER_PARKED, Ordering::SeqCst) & MASTER_PARKED != 0
+        {
+            master.unpark();
+        }
     }
 
     /// How many times workers have parked since start.  An idle runtime
@@ -710,14 +759,14 @@ impl SharedState {
     /// Signals shutdown to workers, the master, and the reactor, waking
     /// every parked worker.
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.state.fetch_or(SHUTDOWN, Ordering::SeqCst);
         let _guard = self.park_guard();
         self.park_cv.notify_all();
     }
 
     /// Whether shutdown has been requested.
     pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.state.load(Ordering::SeqCst) & SHUTDOWN != 0
     }
 }
 
@@ -930,6 +979,52 @@ mod tests {
         assert!(!s.any_pending());
     }
 
+    /// Polls `cond` for up to ten seconds, failing with `what`.
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    /// An idle master parks instead of waking every quantum; a push from
+    /// outside the pool wakes it to rebalance again, and it parks once more
+    /// when that work is done.
+    #[test]
+    fn idle_master_parks_until_work_arrives() {
+        use crate::master::{spawn_master, MasterConfig};
+        let s = shared(PoolKind::Prioritized);
+        let master = spawn_master(
+            &s,
+            MasterConfig {
+                quantum: std::time::Duration::from_millis(1),
+                ..MasterConfig::default()
+            },
+        );
+        let parked = || s.state.load(Ordering::SeqCst) & MASTER_PARKED != 0;
+        wait_until("the idle master to park", parked);
+        // A desire the next re-evaluation would halve: a parked master
+        // leaves it alone.
+        s.levels[1].desire.store(2, Ordering::Relaxed);
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(parked());
+        assert_eq!(s.levels[1].desire.load(Ordering::Relaxed), 2);
+        assert!(s.push_task(task(1, Arc::new(AtomicUsize::new(0)))));
+        s.wake_master(master.thread());
+        assert!(!parked(), "a push from outside the pool wakes the master");
+        wait_until("a rebalance after the push", || {
+            s.levels[1].desire.load(Ordering::Relaxed) == 1
+        });
+        let t = s.pop_task(0).expect("the pushed task");
+        (t.run)();
+        s.task_finished(t.level);
+        wait_until("the master to park again", parked);
+        s.request_shutdown();
+        master.thread().unpark();
+        master.join().expect("the master panicked");
+    }
+
     #[test]
     fn busy_accounting_and_shutdown_flag() {
         let s = shared(PoolKind::Prioritized);
@@ -1006,7 +1101,7 @@ mod tests {
         std::thread::scope(|scope| {
             // From outside the pool: wakes the sleeper.
             let sleeper = parked_thread(scope, &s);
-            s.push_task(task(1, m.clone()));
+            assert!(s.push_task(task(1, m.clone())), "pushed from outside");
             assert_woken(&s, sleeper);
             assert_eq!(epoch(), 1);
             let _ = s.pop_task(0);
@@ -1015,7 +1110,7 @@ mod tests {
             let running = s.enter_level(1);
             // A worker's lone child: left for the worker, so it neither
             // wakes a sleeper nor keeps a worker about to park awake.
-            s.push_task(task(1, m.clone()));
+            assert!(!s.push_task(task(1, m.clone())), "pushed by a worker");
             let sleeper = parked_thread(scope, &s);
             assert_eq!(epoch(), 1, "a lone child costs no wake-up");
             assert_eq!(s.parked.load(Ordering::SeqCst), 1, "asleep");

@@ -282,13 +282,25 @@ impl Runtime {
             None => Box::new(move || completion.complete(body())),
         };
         let trace = future.trace_key();
-        self.shared.push_task(Task {
+        let from_outside = self.shared.push_task(Task {
             run,
             level,
             enqueued_at: Instant::now(),
             trace,
         });
+        if from_outside {
+            self.wake_master();
+        }
         future
+    }
+
+    /// Wakes the master if it parked for want of work.  Kept out of line:
+    /// a worker's spawn never calls it.
+    #[cold]
+    fn wake_master(&self) {
+        if let Some(master) = &self.master {
+            self.shared.wake_master(master.thread());
+        }
     }
 
     /// `fcreate` with a compile-time priority level: the returned

@@ -386,15 +386,22 @@ impl Lowerer {
 /// each program's trace is labelled with its own.
 type Shape = (usize, usize, bool);
 
+/// How many idle runtimes one thread keeps, whatever their shapes.  The
+/// level count of a shape comes from the program's own `priorities:` line,
+/// which a network client chooses, so the set needs a bound of its own: two
+/// runtimes (about eight threads) cover a thread that alternates between
+/// two domains, as the `lambda_pipeline` workload does.
+const MAX_IDLE_RUNTIMES: usize = 2;
+
 thread_local! {
-    /// This thread's idle runtimes, at most one per [`Shape`].
+    /// This thread's idle runtimes, least recently used first: at most
+    /// [`MAX_IDLE_RUNTIMES`], and at most one per [`Shape`].
     ///
     /// A runtime goes back here after a clean drain and is shut down (its
-    /// threads joined) when the thread exits, so a server worker or a test
-    /// thread leaves no runtime threads behind.  The set is bounded because
-    /// an idle runtime is not free: its master still wakes every 500 µs,
-    /// about 16 ms of CPU per second per idle runtime on a 2-vCPU guest
-    /// (a Baseline-scheduler runtime, which has no master, measured 0).
+    /// threads joined) when it is evicted or the thread exits, so a server
+    /// worker or a test thread leaves no runtime threads behind.  An idle
+    /// runtime's threads all park, its master included, so it holds threads
+    /// but uses no CPU.
     static IDLE_RUNTIMES: RefCell<Vec<(Shape, Arc<Runtime>)>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -404,32 +411,35 @@ fn take_idle(shape: Shape) -> Option<Arc<Runtime>> {
         .try_with(|idle| {
             let mut idle = idle.borrow_mut();
             let i = idle.iter().position(|(s, _)| *s == shape)?;
-            Some(idle.swap_remove(i).1)
+            Some(idle.remove(i).1)
         })
         .ok()
         .flatten()
 }
 
-/// Keeps a drained runtime for this thread's next program of `shape`.
-/// When one is already kept (or the thread is exiting), `rt` is dropped
-/// instead, which shuts it down.
+/// Keeps a drained runtime for this thread's next program of `shape`.  The
+/// runtime of this shape was taken out by [`take_idle`], so the set holds
+/// none; when it is full the least recently used runtime is dropped, which
+/// shuts it down.  When the thread is exiting, `rt` itself is dropped.
 fn keep_idle(shape: Shape, rt: Arc<Runtime>) {
-    let _ = IDLE_RUNTIMES.try_with(|idle| {
+    let evicted = IDLE_RUNTIMES.try_with(|idle| {
         let mut idle = idle.borrow_mut();
-        if idle.iter().all(|(s, _)| *s != shape) {
-            idle.push((shape, rt));
-        }
+        idle.push((shape, rt));
+        (idle.len() > MAX_IDLE_RUNTIMES).then(|| idle.remove(0))
     });
+    // Joined outside the borrow.
+    drop(evicted);
 }
 
 /// Lowers a program onto an rp-icilk runtime and runs it to completion.
 ///
 /// The runtime is the calling thread's idle one of the program's shape
 /// (workers, level count, tracing), or a newly started one; after a clean
-/// drain it is kept for the thread's next program of that shape and shut
-/// down when the thread exits.  Each program gets a fresh trace epoch and
-/// its own heap, thread ids and level names, so a reused runtime computes
-/// and traces exactly what a new one would.
+/// drain it is kept for the thread's next program of that shape, until the
+/// thread exits or two more recently used shapes push it out.  Each
+/// program gets a fresh trace epoch and its own heap, thread ids and level
+/// names, so a reused runtime computes and traces exactly what a new one
+/// would.
 ///
 /// The program must be fully priority-instantiated (no free priority
 /// variables) and should be well-typed — the runtime executes ill-typed
@@ -706,9 +716,14 @@ mod tests {
             .count()
     }
 
-    /// Programs of one, two and three levels interleaved on one thread
-    /// reuse one runtime per shape, and each trace holds exactly its own
-    /// program's threads.
+    /// The shapes of this thread's idle runtimes, least recently used first.
+    fn idle_shapes() -> Vec<Shape> {
+        IDLE_RUNTIMES.with(|idle| idle.borrow().iter().map(|(s, _)| *s).collect())
+    }
+
+    /// Programs of one, two and three levels interleaved on one thread,
+    /// some on a reused runtime and some on one that replaced an evicted
+    /// shape: each trace holds exactly its own program's threads.
     #[test]
     fn interleaved_shapes_keep_their_traces_apart() {
         let programs = [
@@ -716,24 +731,48 @@ mod tests {
             progs::server_with_background(2, 3),
             progs::email_coordination_program(),
         ];
-        for round in 0..3 {
-            for prog in &programs {
-                let out = compile_and_run(prog, &quick(2)).unwrap();
-                let label = format!("{} round {round}", prog.name);
-                assert_eq!(spawns(&out), out.threads_spawned, "{label}");
-                let trace = out.trace.as_ref().unwrap();
-                assert_eq!(trace.level_names, out.level_names, "{label}");
-                let run = trace.reconstruct().expect("trace reconstructs");
-                assert_eq!(run.dag.thread_count(), out.threads_spawned, "{label}");
-                assert_eq!(run.skipped, 0, "{label}");
-            }
+        for (step, &i) in [0, 1, 0, 1, 2, 1, 2, 0, 2, 0].iter().enumerate() {
+            let prog = &programs[i];
+            let out = compile_and_run(prog, &quick(2)).unwrap();
+            let label = format!("{} at step {step}", prog.name);
+            assert_eq!(spawns(&out), out.threads_spawned, "{label}");
+            let trace = out.trace.as_ref().unwrap();
+            assert_eq!(trace.level_names, out.level_names, "{label}");
+            let run = trace.reconstruct().expect("trace reconstructs");
+            assert_eq!(run.dag.thread_count(), out.threads_spawned, "{label}");
+            assert_eq!(run.skipped, 0, "{label}");
         }
-        let kept = IDLE_RUNTIMES.with(|idle| {
-            let mut shapes: Vec<Shape> = idle.borrow().iter().map(|(s, _)| *s).collect();
-            shapes.sort_unstable();
-            shapes
-        });
-        assert_eq!(kept, vec![(2, 1, true), (2, 2, true), (2, 3, true)]);
+        assert_eq!(idle_shapes(), vec![(2, 3, true), (2, 1, true)]);
+    }
+
+    /// A program whose domain has `levels` levels, as a client's
+    /// `priorities:` line may declare: main returns at the lowest.
+    fn program_with_levels(levels: usize) -> Program {
+        use crate::syntax::dsl::*;
+        use crate::syntax::Type;
+        use rp_priority::PriorityDomain;
+        let dom = PriorityDomain::numeric(levels);
+        Program {
+            name: format!("levels-{levels}"),
+            main_priority: dom.by_index(0),
+            domain: dom,
+            main: Arc::new(ret(nat(levels as u64))),
+            return_type: Type::Nat,
+        }
+    }
+
+    /// However many level counts one thread's programs declare, it keeps
+    /// at most [`MAX_IDLE_RUNTIMES`] idle runtimes: the most recently used.
+    #[test]
+    fn idle_runtimes_stay_within_their_bound() {
+        for levels in 1..=8 {
+            let out = compile_and_run(&program_with_levels(levels), &quick(1)).unwrap();
+            assert_eq!(out.value, Expr::Nat(levels as u64));
+            let kept = idle_shapes();
+            assert!(kept.len() <= MAX_IDLE_RUNTIMES, "{kept:?}");
+            assert_eq!(kept.last(), Some(&(1, levels, true)));
+        }
+        assert_eq!(idle_shapes(), vec![(1, 7, true), (1, 8, true)]);
     }
 
     /// After a drain timeout its runtime is never reused: the next program
