@@ -16,13 +16,13 @@ use crate::harness::{
     collect_trace, drain_or_warn, drive_open_loop, run_report, ExperimentConfig, ExperimentReport,
     LoadMode, OpenLoopConfig, OpenLoopOutcome, TraceHarvestError, TraceRunReport,
 };
-use parking_lot::Mutex;
+use crate::lock;
 use rp_icilk::runtime::{Runtime, SchedulerKind};
 use rp_icilk::IFuture;
 use rp_sim::stats::LatencyStats;
 use rp_sim::workload::EmailGenerator;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Priority level names, lowest first.
@@ -158,12 +158,24 @@ fn assign(node: &Node, prefix: &mut Vec<bool>, codes: &mut HashMap<u8, Vec<bool>
 #[derive(Debug)]
 pub struct Message {
     /// The plain text (cleared once compressed).
-    pub body: Mutex<String>,
+    pub body: MessageText,
     /// The compressed representation, if the message has been compressed.
     pub compressed: Mutex<Option<(Vec<u8>, usize)>>,
     /// The slot where print/compress operations publish their handle so the
     /// other can wait for them (the paper's per-email array entry).
     pub slot: Mutex<Option<IFuture<u64>>>,
+}
+
+/// A message's plain text.  [`MessageText::lock`] returns the guard
+/// itself: a reader that panics does not poison the text for the others.
+#[derive(Debug)]
+pub struct MessageText(Mutex<String>);
+
+impl MessageText {
+    /// Locks the text.
+    pub fn lock(&self) -> MutexGuard<'_, String> {
+        lock(&self.0)
+    }
 }
 
 /// One user's mailbox.
@@ -180,7 +192,7 @@ impl Mailbox {
                 .into_iter()
                 .map(|body| {
                     Arc::new(Message {
-                        body: Mutex::new(body),
+                        body: MessageText(Mutex::new(body)),
                         compressed: Mutex::new(None),
                         slot: Mutex::new(None),
                     })
@@ -208,7 +220,7 @@ impl Mailbox {
 /// Claims the slot of a message for a new operation, returning the previous
 /// occupant (if any) that must be touched before proceeding.
 fn claim_slot(message: &Message, ticket: IFuture<u64>) -> Option<IFuture<u64>> {
-    let mut slot = message.slot.lock();
+    let mut slot = lock(&message.slot);
     slot.replace(ticket)
 }
 
@@ -232,7 +244,7 @@ pub fn compress_message(rt: &Arc<Runtime>, message: Arc<Message>) -> IFuture<u64
         } else if let Some(code) = HuffmanCode::build(body.as_bytes()) {
             let (packed, bits) = code.encode(body.as_bytes());
             let saved = body.len() as u64 * 8 - bits as u64;
-            *message.compressed.lock() = Some((packed, bits));
+            *lock(&message.compressed) = Some((packed, bits));
             saved
         } else {
             0
@@ -257,7 +269,7 @@ pub fn print_message(rt: &Arc<Runtime>, message: Arc<Message>) -> IFuture<u64> {
         }
         // "Printing" = producing the uncompressed text and checksumming it.
         let text = {
-            let compressed = message.compressed.lock();
+            let compressed = lock(&message.compressed);
             match compressed.as_ref() {
                 Some((packed, bits)) => {
                     let body = message.body.lock();
@@ -544,7 +556,7 @@ mod tests {
         // Both complete; the print waited for the compression.
         let _ = rt.ftouch_blocking(&c);
         let _ = rt.ftouch_blocking(&p);
-        assert!(msg.compressed.lock().is_some());
+        assert!(lock(&msg.compressed).is_some());
         // The spawned tasks hold clones of the runtime handle until their
         // closures finish; drain first, then wait to become the sole owner.
         assert!(rt.drain(Duration::from_secs(5)));

@@ -19,6 +19,7 @@
 //!   so injector stalls behind a slow server count against the server
 //!   instead of silently dropping the worst samples.
 
+use crate::lock;
 use rp_core::stream::{IncrementalReconstructor, StreamAggregates, StreamConfig, StreamCounters};
 use rp_core::trace::{ReconstructedRun, TraceBoundReport, TraceError};
 use rp_icilk::master::MasterConfig;
@@ -29,16 +30,15 @@ use rp_sim::clock::VirtualTime;
 use rp_sim::latency::LatencyModel;
 use rp_sim::poisson::PoissonProcess;
 use rp_sim::stats::{ratio, LatencyStats, RatioSummary};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How the load generator paces requests.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum LoadMode {
     /// Closed loop: `connections × requests_per_connection` requests, each
     /// connection waiting for its reply before issuing the next request.
@@ -50,7 +50,7 @@ pub enum LoadMode {
 }
 
 /// Parameters of the open-loop injector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpenLoopConfig {
     /// Mean arrival rate in requests per second.
     pub arrival_rate_per_sec: f64,
@@ -79,7 +79,7 @@ impl OpenLoopConfig {
 }
 
 /// Parameters of the socket open-loop injector ([`drive_socket_open`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SocketLoadConfig {
     /// The Poisson arrival schedule (shared with the in-process open loop).
     pub open: OpenLoopConfig,
@@ -106,7 +106,7 @@ impl SocketLoadConfig {
 
 /// Retry pacing for requests the server answered `Overloaded`: capped
 /// exponential backoff with deterministic jitter (see [`backoff_delay`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total send attempts per request (1 = never retry).
     pub max_attempts: u32,
@@ -130,7 +130,7 @@ impl Default for RetryPolicy {
 /// off: no deadline, no retries, no reconnect — the driver then behaves
 /// exactly as it did before resilience existed (any connection error aborts
 /// the run).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResilienceConfig {
     /// Per-request deadline, measured from the *intended* arrival time; a
     /// request unanswered past it is abandoned and counted in
@@ -192,7 +192,7 @@ pub fn backoff_delay(policy: &RetryPolicy, seed: u64, request: u64, attempt: u32
 }
 
 /// Configuration shared by all three case studies.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentConfig {
     /// Number of worker threads for the server.
     pub workers: usize,
@@ -1046,13 +1046,13 @@ pub struct StreamingTraceReport {
 /// State shared between the drain thread and the collector handle.
 #[derive(Debug)]
 struct StreamShared {
-    recon: parking_lot::Mutex<IncrementalReconstructor>,
+    recon: Mutex<IncrementalReconstructor>,
     ingest_errors: AtomicU64,
 }
 
 impl StreamShared {
     fn report(&self, rt: &Runtime) -> StreamingTraceReport {
-        let recon = self.recon.lock();
+        let recon = lock(&self.recon);
         StreamingTraceReport {
             aggregates: recon.aggregates().clone(),
             counters: recon.counters(),
@@ -1066,7 +1066,7 @@ impl StreamShared {
         let Some(batch) = rt.drain_trace_events() else {
             return;
         };
-        let mut recon = self.recon.lock();
+        let mut recon = lock(&self.recon);
         let result = if batch.events.is_empty() {
             *idle += 1;
             let counters = recon.counters();
@@ -1119,7 +1119,7 @@ impl StreamingTraceCollector {
             let _ = handle.join();
         }
         if let Some(batch) = self.runtime.drain_trace_events() {
-            let mut recon = self.shared.recon.lock();
+            let mut recon = lock(&self.shared.recon);
             if recon.ingest(&batch.events).is_err() {
                 self.shared.ingest_errors.fetch_add(1, Ordering::Relaxed);
             }
@@ -1158,7 +1158,7 @@ pub fn collect_trace_streaming(
     let recon = IncrementalReconstructor::new(StreamConfig::new(level_names, num_workers))
         .map_err(TraceHarvestError::Reconstruct)?;
     let shared = Arc::new(StreamShared {
-        recon: parking_lot::Mutex::new(recon),
+        recon: Mutex::new(recon),
         ingest_errors: AtomicU64::new(0),
     });
     let stop_flag = Arc::new(std::sync::atomic::AtomicBool::new(false));

@@ -43,3 +43,11 @@ pub use harness::{
     ExperimentConfig, ExperimentReport, LevelReport, LoadMode, OpenLoopConfig, OpenLoopOutcome,
     ResilienceConfig, StreamingTraceCollector, StreamingTraceReport,
 };
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, ignoring poisoning: a task that panics must not wedge
+/// every later user of a lock it happened to hold.
+pub(crate) fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -11,14 +11,14 @@ use crate::harness::{
     collect_trace, drain_or_warn, drive_open_loop, run_report, ExperimentConfig, ExperimentReport,
     LoadMode, OpenLoopConfig, OpenLoopOutcome, TraceHarvestError, TraceRunReport,
 };
+use crate::lock;
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
 use rp_icilk::runtime::{Runtime, SchedulerKind};
 use rp_icilk::IFuture;
 use rp_sim::stats::LatencyStats;
 use rp_sim::workload::PageGenerator;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// Priority level names, lowest first.
@@ -40,17 +40,24 @@ impl ProxyState {
 
     /// Cache lookup.
     pub fn lookup(&self, url: &str) -> Option<Bytes> {
-        self.cache.read().get(url).cloned()
+        self.cache
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(url)
+            .cloned()
     }
 
     /// Inserts a fetched page.
     pub fn insert(&self, url: String, body: Bytes) {
-        self.cache.write().insert(url, body);
+        self.cache
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(url, body);
     }
 
     /// (hits, misses) so far.
     pub fn stats(&self) -> (u64, u64) {
-        (*self.hits.lock(), *self.misses.lock())
+        (*lock(&self.hits), *lock(&self.misses))
     }
 }
 
@@ -83,9 +90,9 @@ pub fn handle_request(
         let hit = state_log.lookup(&url).is_some();
         rt2.fcreate(logging, move || {
             if hit {
-                *state_log.hits.lock() += 1;
+                *lock(&state_log.hits) += 1;
             } else {
-                *state_log.misses.lock() += 1;
+                *lock(&state_log.misses) += 1;
             }
         });
         match state2.lookup(&url) {
@@ -253,7 +260,7 @@ mod tests {
             state.lookup("http://x/").unwrap(),
             Bytes::from_static(b"abc")
         );
-        *state.hits.lock() += 1;
+        *lock(&state.hits) += 1;
         assert_eq!(state.stats(), (1, 0));
     }
 
@@ -270,7 +277,7 @@ mod tests {
         let state = ProxyState::new();
         let stats = drive_clients(&rt, &state, &config);
         assert_eq!(stats.count(), 12);
-        assert!(!state.cache.read().is_empty());
+        assert!(!state.cache.read().unwrap().is_empty());
         crate::harness::shutdown_runtime(rt, Duration::from_secs(10));
     }
 
@@ -305,7 +312,10 @@ mod tests {
         assert!(outcome.issued > 0);
         assert_eq!(outcome.unfinished, 0, "all requests completed");
         assert_eq!(outcome.latency.count(), outcome.measured);
-        assert!(!state.cache.read().is_empty(), "misses populated the cache");
+        assert!(
+            !state.cache.read().unwrap().is_empty(),
+            "misses populated the cache"
+        );
         assert!(rt.drain(Duration::from_secs(5)));
         crate::harness::shutdown_runtime(rt, Duration::from_secs(10));
     }

@@ -16,11 +16,10 @@ use crate::graph::{CostDag, ThreadId};
 use crate::metrics::{a_span_over, a_span_with, competitor_work_with};
 use crate::schedule::{admissible_in, response_time_in, Schedule};
 use crate::strengthen::{strengthening_is_identity, strengthening_with};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
 /// The outcome of checking Theorem 2.3 on one thread and one schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoundReport {
     /// The thread the bound was computed for.
     pub thread: ThreadId,
@@ -266,7 +265,7 @@ pub fn check_response_time_bound(dag: &CostDag, schedule: &Schedule, a: ThreadId
 /// the same batch check as [`check_bounds_batch`] and pre-computes the
 /// summary counts so a caller sweeping thousands of schedules can accumulate
 /// totals without re-walking the reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleBounds {
     /// One report per thread, indexed by thread id (`ThreadId::index`).
     pub reports: Vec<BoundReport>,

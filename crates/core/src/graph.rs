@@ -2,11 +2,10 @@
 
 use crate::csr::CsrIndex;
 use rp_priority::{Priority, PriorityDomain};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a vertex (a unit-cost operation) in a [`CostDag`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VertexId(pub(crate) u32);
 
 impl VertexId {
@@ -23,7 +22,7 @@ impl fmt::Display for VertexId {
 }
 
 /// Identifier of a thread symbol `a` in a [`CostDag`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ThreadId(pub(crate) u32);
 
 impl ThreadId {
@@ -40,7 +39,7 @@ impl fmt::Display for ThreadId {
 }
 
 /// The kind of an edge in a cost graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeKind {
     /// A continuation edge between consecutive vertices of one thread.
     Continuation,
@@ -62,7 +61,7 @@ impl EdgeKind {
 }
 
 /// A directed edge of the cost graph together with its kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Edge {
     /// Source vertex.
     pub from: VertexId,
@@ -73,7 +72,7 @@ pub struct Edge {
 }
 
 /// Per-thread data: priority, name, and vertex sequence.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThreadInfo {
     /// Human-readable name of the thread symbol (e.g. `"main"`).
     pub name: String,
@@ -84,7 +83,7 @@ pub struct ThreadInfo {
 }
 
 /// Per-vertex data.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VertexInfo {
     /// The thread containing this vertex.
     pub thread: ThreadId,
@@ -101,10 +100,10 @@ pub struct VertexInfo {
 /// as explicit vertex-to-vertex edges: fcreate edges `(u, a)` are stored as
 /// `(u, first(a))` and ftouch edges `(a, u)` as `(last(a), u)`, exactly as the
 /// paper's shorthand prescribes.
-// No serde derives: the cached CSR index is derived data that a naive
-// field-wise Deserialize could not rebuild, leaving a graph whose adjacency
-// queries panic.  If (de)serialization is ever needed, implement it by
-// round-tripping through the builder so the index is reconstructed.
+// The cached CSR index is derived data: a field-wise deserializer could not
+// rebuild it, leaving a graph whose adjacency queries panic.  If
+// (de)serialization is ever needed, round-trip through the builder so the
+// index is reconstructed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostDag {
     pub(crate) domain: PriorityDomain,

@@ -14,10 +14,9 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 use rp_priority::{Priority, PriorityDomain};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`RandomDagGenerator`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RandomDagConfig {
     /// Number of priority levels (a total order is used).
     pub priority_levels: usize,

@@ -2,13 +2,12 @@
 //! response time.
 
 use crate::graph::{CostDag, ThreadId, VertexId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A schedule: the assignment of vertices to processing cores at each time
 /// step.  `steps[j]` lists the vertices executed during step `j`
 /// (at most `num_cores` of them).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     /// Number of processing cores `P`.
     pub num_cores: usize,

@@ -47,7 +47,6 @@ use crate::graph::{CostDag, ThreadId, VertexId};
 use crate::schedule::Schedule;
 use crate::scheduler::weak_respecting_prompt_schedule;
 use rp_priority::PriorityDomain;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -56,7 +55,7 @@ pub type TaskKey = u64;
 
 /// One recorded runtime event.  Timestamps are nanoseconds since the
 /// recording collector's epoch, from a single monotonic clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// `fcreate`: a task was spawned at a priority level.  `parent` is the
     /// traced task whose body performed the spawn (`None` when spawned from
@@ -146,7 +145,7 @@ impl TraceEvent {
 
 /// A merged, time-ordered event log of one runtime execution, together with
 /// the context reconstruction needs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExecutionTrace {
     /// The events, sorted by timestamp (stable: events recorded by one
     /// thread keep their relative order on ties).
@@ -198,7 +197,7 @@ impl fmt::Display for TraceError {
 impl std::error::Error for TraceError {}
 
 /// Metadata about one reconstructed thread (task or I/O future).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TracedTask {
     /// The runtime's key for the task.
     pub key: TaskKey,
@@ -227,7 +226,7 @@ impl TracedTask {
 
 /// One thread's Theorem 2.3 verdict, paired with the wall-clock measurement
 /// from the trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceBoundReport {
     /// The task this report is about.
     pub task: TracedTask,

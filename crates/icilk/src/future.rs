@@ -6,12 +6,12 @@
 //! that touching it from lower-priority code can be rejected at compile time
 //! (see [`crate::priority`]).
 
+use crate::lock;
 use crate::priority::PriorityLevel;
-use parking_lot::{Condvar, Mutex};
 use rp_priority::Priority;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The shared state behind an [`IFuture`].
@@ -85,7 +85,7 @@ impl<T> IFuture<T> {
 
     /// Whether the task has completed.
     pub fn is_ready(&self) -> bool {
-        self.inner.state.lock().is_some()
+        lock(&self.inner.state).is_some()
     }
 
     /// Creates a future that is not backed by a spawned task; the caller is
@@ -101,7 +101,7 @@ impl<T> IFuture<T> {
     /// Returns `false` (and leaves the existing value in place) if the future
     /// had already been fulfilled.
     pub fn fulfill(&self, value: T) -> bool {
-        let mut guard = self.inner.state.lock();
+        let mut guard = lock(&self.inner.state);
         if guard.is_some() {
             return false;
         }
@@ -112,7 +112,7 @@ impl<T> IFuture<T> {
 
     /// Fulfils the future.  Called exactly once, by the task body wrapper.
     pub(crate) fn complete(&self, value: T) {
-        let mut guard = self.inner.state.lock();
+        let mut guard = lock(&self.inner.state);
         debug_assert!(guard.is_none(), "a future is completed exactly once");
         *guard = Some(value);
         self.inner.ready.notify_all();
@@ -125,11 +125,12 @@ impl<T> IFuture<T> {
     where
         T: Clone,
     {
-        let mut guard = self.inner.state.lock();
-        while guard.is_none() {
-            self.inner.ready.wait(&mut guard);
-        }
-        guard.as_ref().expect("just checked").clone()
+        let guard = self
+            .inner
+            .ready
+            .wait_while(lock(&self.inner.state), |v| v.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        guard.as_ref().expect("woken with a value").clone()
     }
 
     /// Blocks with a timeout; returns `None` on timeout.
@@ -137,16 +138,12 @@ impl<T> IFuture<T> {
     where
         T: Clone,
     {
-        let deadline = Instant::now() + timeout;
-        let mut guard = self.inner.state.lock();
-        while guard.is_none() {
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            self.inner.ready.wait_for(&mut guard, deadline - now);
-        }
-        Some(guard.as_ref().expect("just checked").clone())
+        let (guard, _) = self
+            .inner
+            .ready
+            .wait_timeout_while(lock(&self.inner.state), timeout, |v| v.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        guard.clone()
     }
 
     /// Returns the value if already available, without blocking.
@@ -154,7 +151,7 @@ impl<T> IFuture<T> {
     where
         T: Clone,
     {
-        self.inner.state.lock().clone()
+        lock(&self.inner.state).clone()
     }
 }
 

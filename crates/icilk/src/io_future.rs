@@ -9,11 +9,11 @@
 //! which is exactly the latency-hiding property the paper relies on.
 
 use crate::future::IFuture;
-use parking_lot::{Condvar, Mutex};
+use crate::lock;
 use rp_priority::Priority;
 use rp_sim::latency::{LatencyModel, LatencySampler};
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -93,7 +93,7 @@ impl IoReactor {
 
     /// Samples a latency from the reactor's model.
     pub fn sample_latency(&self) -> Duration {
-        self.sampler.lock().sample_duration()
+        lock(&self.sampler).sample_duration()
     }
 
     /// Submits a simulated I/O operation that produces a value of type `T`
@@ -106,9 +106,9 @@ impl IoReactor {
     ) -> IFuture<T> {
         let future = IFuture::new(priority);
         let completion_handle = future.clone();
-        let (lock, cv) = &*self.state;
+        let (state_lock, cv) = &*self.state;
         {
-            let mut st = lock.lock();
+            let mut st = lock(state_lock);
             // After shutdown the reactor thread has exited (or is draining on
             // its way out), so a queued operation would never be completed
             // and its waiters would hang forever.  Complete it inline
@@ -145,7 +145,7 @@ impl IoReactor {
     /// no timeout); exposed for the busy-wake regression test and
     /// diagnostics.
     pub fn loop_wakeups(&self) -> u64 {
-        self.state.0.lock().wakeups
+        lock(&self.state.0).wakeups
     }
 
     /// Number of submitted operations that have not completed yet: those
@@ -153,7 +153,7 @@ impl IoReactor {
     /// closures are currently running.  [`crate::runtime::Runtime::drain`]
     /// polls this so in-flight I/O counts as outstanding work.
     pub fn pending_ops(&self) -> usize {
-        let st = self.state.0.lock();
+        let st = lock(&self.state.0);
         st.queue.len() + st.in_flight
     }
 
@@ -161,8 +161,8 @@ impl IoReactor {
     /// immediately.
     pub fn shutdown(&mut self) {
         {
-            let (lock, cv) = &*self.state;
-            let mut st = lock.lock();
+            let (state_lock, cv) = &*self.state;
+            let mut st = lock(state_lock);
             st.shutdown = true;
             cv.notify_all();
         }
@@ -179,10 +179,10 @@ impl Drop for IoReactor {
 }
 
 fn reactor_loop(state: Arc<(Mutex<ReactorState>, Condvar)>) {
-    let (lock, cv) = &*state;
+    let (state_lock, cv) = &*state;
     loop {
         let due: Vec<PendingIo> = {
-            let mut st = lock.lock();
+            let mut st = lock(state_lock);
             st.wakeups += 1;
             if st.shutdown {
                 // Drain everything so no waiter hangs forever.
@@ -198,14 +198,17 @@ fn reactor_loop(state: Arc<(Mutex<ReactorState>, Condvar)>) {
                 match st.queue.peek().map(|p| p.deadline) {
                     Some(deadline) => {
                         let wait = deadline.saturating_duration_since(now);
-                        cv.wait_for(&mut st, wait.max(Duration::from_micros(10)));
+                        st = cv
+                            .wait_timeout(st, wait.max(Duration::from_micros(10)))
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .0;
                     }
                     None => {
                         // Nothing queued: wait until `submit` or `shutdown`
                         // notifies, with no timeout — both always signal the
                         // condvar, so a 5 ms poll here was ~200 pure-overhead
                         // wakeups/sec per idle reactor.
-                        cv.wait(&mut st);
+                        st = cv.wait(st).unwrap_or_else(PoisonError::into_inner);
                     }
                 }
             }
@@ -218,7 +221,7 @@ fn reactor_loop(state: Arc<(Mutex<ReactorState>, Condvar)>) {
             for op in due {
                 (op.complete)();
             }
-            lock.lock().in_flight = 0;
+            lock(state_lock).in_flight = 0;
         }
     }
 }

@@ -56,6 +56,7 @@ pub mod master;
 pub mod metrics;
 pub mod pool;
 pub mod priority;
+mod queue;
 pub mod runtime;
 pub mod trace;
 pub mod worker;
@@ -63,3 +64,11 @@ pub mod worker;
 pub use future::IFuture;
 pub use priority::{OutranksOrEqual, PriorityLevel};
 pub use runtime::{Runtime, RuntimeConfig, SchedulerKind};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, ignoring poisoning: a task that panics must not wedge
+/// every later user of a lock it happened to hold.
+pub(crate) fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -16,10 +16,11 @@
 //! [`MetricsCollector::snapshot`] is called — a cheap bucket-wise histogram
 //! addition thanks to the fixed-size [`LatencyStats`] backing.
 
-use parking_lot::Mutex;
+use crate::lock;
 use rp_sim::stats::LatencyStats;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Default number of metrics shards; recording threads beyond this many
@@ -158,14 +159,14 @@ impl MetricsCollector {
     /// workers never contend with each other (up to the shard count).
     pub fn record_task(&self, level: usize, response: Duration, compute: Duration) {
         let shard = &self.shards[thread_ordinal() & self.shard_mask];
-        shard.0.lock().record(level, response, compute);
+        lock(&shard.0).record(level, response, compute);
     }
 
     /// Takes a snapshot of everything recorded so far, merging the shards.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut merged = Inner::new(self.levels);
         for shard in &self.shards {
-            let inner = shard.0.lock();
+            let inner = lock(&shard.0);
             for level in 0..self.levels {
                 merged.response[level].merge(&inner.response[level]);
                 merged.compute[level].merge(&inner.compute[level]);
@@ -185,7 +186,8 @@ impl MetricsCollector {
 #[cfg(test)]
 mod reference {
     use super::{Inner, MetricsSnapshot};
-    use parking_lot::Mutex;
+    use crate::lock;
+    use std::sync::Mutex;
     use std::time::Duration;
 
     /// The original collector: one global mutex on the task-completion hot
@@ -206,12 +208,12 @@ mod reference {
         /// Records one completed task at the given level (all threads
         /// funnel through the one mutex).
         pub fn record_task(&self, level: usize, response: Duration, compute: Duration) {
-            self.inner.lock().record(level, response, compute);
+            lock(&self.inner).record(level, response, compute);
         }
 
         /// Takes a snapshot of everything recorded so far.
         pub fn snapshot(&self) -> MetricsSnapshot {
-            let inner = self.inner.lock();
+            let inner = lock(&self.inner);
             MetricsSnapshot {
                 response: inner.response.clone(),
                 compute: inner.compute.clone(),

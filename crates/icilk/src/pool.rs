@@ -11,11 +11,16 @@
 //! assigned to the highest-allotted priority level.  The master's
 //! assignment no longer decides where a spawn goes; it steers where an idle
 //! worker looks first ([`SharedState::pop_for_worker`]).  The per-level
-//! [`Injector`]s remain as the *injection/overflow* path: they receive tasks
+//! injectors remain as the *injection/overflow* path: they receive tasks
 //! pushed from outside the worker pool (the original submission of every
 //! experiment) and tasks spawned at a level other than the spawner's own.
 //! A fork–join, spawned and touched on one worker, never touches a shared
 //! injector.
+//!
+//! Deques and injectors alike are plain `Mutex<VecDeque>` queues, held for a
+//! few instructions per push or pop: the owner pops the back of its deque,
+//! thieves and injector consumers pop the front.  None of them is a
+//! lock-free Chase–Lev deque.
 //!
 //! In oblivious (Cilk-F stand-in) mode everything still funnels through one
 //! global FIFO, deliberately: that contention is part of the baseline being
@@ -54,10 +59,11 @@
 //! then only come from outside the pool, so only such a push looks at the
 //! master (`SharedState::wake_master`); a worker's spawn never does.
 
+use crate::lock;
 use crate::metrics::{thread_ordinal, MetricsCollector, DEFAULT_SHARDS};
 use crate::priority::PrioritySet;
+use crate::queue::TaskQueue;
 use crate::trace::TraceCollector;
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{fence, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -92,7 +98,7 @@ impl std::fmt::Debug for Task {
 pub struct LevelPool {
     /// The level's injection/overflow queue (see the module docs); pushed
     /// through `SharedState::inject` only, which keeps `queued`.
-    injector: Injector<Task>,
+    injector: TaskQueue<Task>,
     /// Tasks in `injector`, counted before a push and after a pop: zero
     /// means empty, so a helper scanning the injectors on every touch skips
     /// an empty one without writing its lock's cache line.
@@ -109,7 +115,7 @@ pub struct LevelPool {
 impl LevelPool {
     fn new() -> Self {
         LevelPool {
-            injector: Injector::new(),
+            injector: TaskQueue::new(),
             queued: AtomicUsize::new(0),
             desire: AtomicUsize::new(1),
             allotment: AtomicUsize::new(0),
@@ -218,7 +224,7 @@ struct LocalDeque {
     /// one runtime pushing tasks of another runtime onto its deque.
     owner: usize,
     worker_id: usize,
-    deque: Worker<Task>,
+    deque: Arc<TaskQueue<Task>>,
 }
 
 thread_local! {
@@ -256,16 +262,16 @@ pub struct SharedState {
     /// Per-level pools (always one per level, even in oblivious mode).
     pub levels: Vec<LevelPool>,
     /// The single global queue used in oblivious (baseline) mode.
-    pub global: Injector<Task>,
+    pub(crate) global: TaskQueue<Task>,
     /// Which strategy is in effect.
     pub kind: PoolKind,
     /// Worker → assigned level index (meaningful in prioritized mode).
     pub assignment: Vec<AtomicUsize>,
-    /// Stealer side of each worker's private deque.
-    pub stealers: Vec<Stealer<Task>>,
-    /// The worker-owned deque handles, taken once by each worker thread at
-    /// startup (`None` after being claimed).
-    deques: Mutex<Vec<Option<Worker<Task>>>>,
+    /// Each worker's private deque, as its thieves see it.
+    pub(crate) stealers: Vec<Arc<TaskQueue<Task>>>,
+    /// The owners' handles on the same deques, taken once by each worker
+    /// thread at startup (`None` after being claimed).
+    deques: Mutex<Vec<Option<Arc<TaskQueue<Task>>>>>,
     /// [`SHUTDOWN`] once the runtime is shutting down, and [`MASTER_PARKED`]
     /// while the master sleeps in [`SharedState::park_master`].  The two
     /// flags share one byte so that the master's flag moves none of the
@@ -310,12 +316,14 @@ impl SharedState {
         // rebalances at the end of the first quantum.
         let top = priorities.len() - 1;
         let assignment = (0..num_workers).map(|_| AtomicUsize::new(top)).collect();
-        let deques: Vec<Worker<Task>> = (0..num_workers).map(|_| Worker::new_lifo()).collect();
-        let stealers = deques.iter().map(Worker::stealer).collect();
+        let deques: Vec<_> = (0..num_workers)
+            .map(|_| Arc::new(TaskQueue::new()))
+            .collect();
+        let stealers = deques.clone();
         Arc::new(SharedState {
             priorities,
             levels,
-            global: Injector::new(),
+            global: TaskQueue::new(),
             kind,
             assignment,
             stealers,
@@ -335,12 +343,7 @@ impl SharedState {
     /// Claims worker `worker_id`'s deque and installs it in this thread's
     /// local storage.  Called once by each worker thread at startup.
     pub fn register_current_worker(self: &Arc<Self>, worker_id: usize) {
-        let deque = self
-            .deques
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get_mut(worker_id)
-            .and_then(Option::take);
+        let deque = lock(&self.deques).get_mut(worker_id).and_then(Option::take);
         if let Some(deque) = deque {
             LOCAL_DEQUE.with(|slot| {
                 *slot.borrow_mut() = Some(LocalDeque {
@@ -447,9 +450,7 @@ impl SharedState {
     }
 
     fn park_guard(&self) -> MutexGuard<'_, u64> {
-        self.park_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        lock(&self.park_lock)
     }
 
     /// Whether an injector holds a task, or a worker's deque at least
@@ -557,7 +558,7 @@ impl SharedState {
     /// other level injectors from the highest priority downward.
     pub fn pop_for_worker(&self, worker_id: usize) -> Option<Task> {
         match self.kind {
-            PoolKind::Oblivious => self.pop_global(),
+            PoolKind::Oblivious => self.global.steal(),
             PoolKind::Prioritized => {
                 let assigned = self
                     .assignment
@@ -598,7 +599,7 @@ impl SharedState {
     /// stale backlog.
     pub fn pop_task(&self, floor: usize) -> Option<Task> {
         match self.kind {
-            PoolKind::Oblivious => self.pop_global(),
+            PoolKind::Oblivious => self.global.steal(),
             PoolKind::Prioritized => {
                 let top = self.levels.len() - 1;
                 let floor = floor.min(top);
@@ -669,35 +670,19 @@ impl SharedState {
                 if Some(peer) == thief || assigned.load(Ordering::Relaxed) != level {
                     continue;
                 }
-                loop {
-                    match self.stealers[peer].steal() {
-                        Steal::Success(t) if t.level < floor => {
-                            self.inject(t);
-                            break;
+                match self.stealers[peer].steal() {
+                    Some(t) if t.level < floor => self.inject(t),
+                    Some(t) => {
+                        if let (Some(tc), Some(key)) = (&self.trace, t.trace) {
+                            tc.record_steal(key);
                         }
-                        Steal::Success(t) => {
-                            if let (Some(tc), Some(key)) = (&self.trace, t.trace) {
-                                tc.record_steal(key);
-                            }
-                            return Some(t);
-                        }
-                        Steal::Empty => break,
-                        Steal::Retry => continue,
+                        return Some(t);
                     }
+                    None => {}
                 }
             }
         }
         None
-    }
-
-    fn pop_global(&self) -> Option<Task> {
-        loop {
-            match self.global.steal() {
-                Steal::Success(t) => return Some(t),
-                Steal::Empty => return None,
-                Steal::Retry => continue,
-            }
-        }
     }
 
     /// Pushes `task` onto its level's injector.  `queued` publishes nothing
@@ -714,16 +699,9 @@ impl SharedState {
         if pool.queued.load(Ordering::Relaxed) == 0 {
             return None;
         }
-        loop {
-            match pool.injector.steal() {
-                Steal::Success(t) => {
-                    pool.queued.fetch_sub(1, Ordering::Relaxed);
-                    return Some(t);
-                }
-                Steal::Empty => return None,
-                Steal::Retry => continue,
-            }
-        }
+        let task = pool.injector.steal()?;
+        pool.queued.fetch_sub(1, Ordering::Relaxed);
+        Some(task)
     }
 
     /// Records that `nanos` of work were done for `level`.

@@ -751,11 +751,11 @@ mod tests {
     fn submit_io_now_completes_promptly_on_the_reactor() {
         let rt = runtime(SchedulerKind::ICilk);
         let ui = rt.priority_by_name("ui").unwrap();
-        let ran_on = Arc::new(parking_lot::Mutex::new(String::new()));
+        let ran_on = Arc::new(std::sync::Mutex::new(String::new()));
         let ran_on2 = Arc::clone(&ran_on);
         let started = Instant::now();
         let f = rt.submit_io_now(ui, move || {
-            *ran_on2.lock() = std::thread::current().name().unwrap_or("?").to_string();
+            *ran_on2.lock().unwrap() = std::thread::current().name().unwrap_or("?").to_string();
             17u32
         });
         assert_eq!(rt.ftouch_blocking(&f), 17);
@@ -764,7 +764,7 @@ mod tests {
             "zero-latency I/O took {:?}",
             started.elapsed()
         );
-        assert_eq!(&*ran_on.lock(), "icilk-io-reactor");
+        assert_eq!(&*ran_on.lock().unwrap(), "icilk-io-reactor");
         assert!(rt.drain(Duration::from_secs(2)));
         rt.shutdown();
     }
@@ -864,19 +864,19 @@ mod tests {
     #[test]
     fn blocked_high_touch_never_runs_queued_low_work() {
         let (rt, lo, hi) = one_worker_lo_hi();
-        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let order = Arc::new(std::sync::Mutex::new(Vec::new()));
         let (rt2, order2) = (Arc::clone(&rt), Arc::clone(&order));
         let outer = rt.fcreate(hi, move || {
             let order_lo = Arc::clone(&order2);
-            let _background = rt2.fcreate(lo, move || order_lo.lock().push("lo started"));
+            let _background = rt2.fcreate(lo, move || order_lo.lock().unwrap().push("lo started"));
             let child = rt2.fcreate(hi, || 2u64);
             let v = rt2.ftouch(&child);
-            order2.lock().push("hi finished");
+            order2.lock().unwrap().push("hi finished");
             v
         });
         assert_eq!(outer.wait_clone_timeout(Duration::from_secs(5)), Some(2));
         assert!(rt.drain(Duration::from_secs(5)));
-        assert_eq!(*order.lock(), vec!["hi finished", "lo started"]);
+        assert_eq!(*order.lock().unwrap(), vec!["hi finished", "lo started"]);
         shutdown_shared(rt);
     }
 
@@ -899,19 +899,19 @@ mod tests {
     #[test]
     fn blocked_touch_runs_a_queued_higher_task_before_its_own_child() {
         let (rt, lo, hi) = one_worker_lo_hi();
-        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let order = Arc::new(std::sync::Mutex::new(Vec::new()));
         let (rt2, order2) = (Arc::clone(&rt), Arc::clone(&order));
         let outer = rt.fcreate(lo, move || {
             let order_child = Arc::clone(&order2);
-            let child = rt2.fcreate(lo, move || order_child.lock().push("child"));
+            let child = rt2.fcreate(lo, move || order_child.lock().unwrap().push("child"));
             let order_hi = Arc::clone(&order2);
-            let _ping = rt2.fcreate(hi, move || order_hi.lock().push("hi"));
+            let _ping = rt2.fcreate(hi, move || order_hi.lock().unwrap().push("hi"));
             rt2.ftouch(&child);
-            order2.lock().push("outer");
+            order2.lock().unwrap().push("outer");
         });
         assert_eq!(outer.wait_clone_timeout(Duration::from_secs(5)), Some(()));
         assert!(rt.drain(Duration::from_secs(5)));
-        assert_eq!(*order.lock(), vec!["hi", "child", "outer"]);
+        assert_eq!(*order.lock().unwrap(), vec!["hi", "child", "outer"]);
         shutdown_shared(rt);
     }
 

@@ -32,11 +32,12 @@
 //! Post-hoc consumers keep using [`TraceCollector::snapshot`], which copies
 //! without consuming — the two styles should not be mixed on one run.
 
+use crate::lock;
 use crate::metrics::thread_ordinal;
-use parking_lot::Mutex;
 use rp_core::trace::{ExecutionTrace, TraceEvent};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Default number of trace shards; recording threads beyond this many share
@@ -194,7 +195,7 @@ impl TraceCollector {
 
     fn record(&self, event: TraceEvent) {
         let shard = &self.shards[thread_ordinal() & self.shard_mask];
-        let mut buf = shard.0.lock();
+        let mut buf = lock(&shard.0);
         if buf.events.len() < self.shard_capacity {
             buf.events.push(event);
             buf.recorded += 1;
@@ -272,7 +273,7 @@ impl TraceCollector {
     pub fn snapshot(&self) -> ExecutionTrace {
         let mut events: Vec<TraceEvent> = Vec::new();
         for shard in &self.shards {
-            events.extend(shard.0.lock().events.iter().copied());
+            events.extend(lock(&shard.0).events.iter().copied());
         }
         events.sort_by_key(TraceEvent::at);
         ExecutionTrace {
@@ -294,7 +295,7 @@ impl TraceCollector {
         let mut recorded = 0;
         let mut dropped = 0;
         for shard in &self.shards {
-            let mut buf = shard.0.lock();
+            let mut buf = lock(&shard.0);
             events.append(&mut buf.events);
             recorded += buf.recorded;
             dropped += buf.dropped;
@@ -317,7 +318,7 @@ impl TraceCollector {
         let mut recorded = 0;
         let mut dropped = 0;
         for shard in &self.shards {
-            let buf = shard.0.lock();
+            let buf = lock(&shard.0);
             recorded += buf.recorded;
             dropped += buf.dropped;
         }

@@ -18,12 +18,11 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rp_priority::{Priority, PriorityDomain};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// How the run driver picks which runnable threads step at each parallel
 /// step.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SelectionPolicy {
     /// Priority-greedy (prompt) selection.
     #[default]

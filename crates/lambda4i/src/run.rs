@@ -9,10 +9,9 @@ use rp_core::graph::{CostDag, ThreadId as DagThreadId, VertexId};
 use rp_core::schedule::Schedule;
 use rp_core::wellformed::check_strongly_well_formed_with;
 use rp_priority::Priority;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a program run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunConfig {
     /// Number of simulated cores `P` (threads stepped per parallel step).
     pub cores: usize,

@@ -36,11 +36,12 @@
 //! operations — a mask load and an admitted-counter increment; all estimate
 //! work happens on the server's dedicated refresh thread.
 
+use crate::lock;
 use crate::protocol::RequestClass;
-use parking_lot::Mutex;
 use rp_core::stream::StreamAggregates;
 use rp_icilk::metrics::MetricsSnapshot;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Number of admission classes (one per [`RequestClass`]).
@@ -325,7 +326,7 @@ impl AdmissionController {
         if !self.config.enabled {
             return;
         }
-        let mut est = self.est.lock();
+        let mut est = lock(&self.est);
 
         // Fold the per-level compute-time deltas since the last refresh
         // into per-class work sums.
@@ -449,7 +450,7 @@ impl AdmissionController {
             threads[i] += agg.threads;
         }
         let alpha = self.config.ewma_alpha.clamp(0.01, 1.0);
-        let mut est = self.est.lock();
+        let mut est = lock(&self.est);
         for i in 0..CLASSES {
             if own_sums[i] > 0 {
                 let observed = (span_sums[i] as f64 / own_sums[i] as f64).clamp(0.05, 1.0);
@@ -464,7 +465,7 @@ impl AdmissionController {
 
     /// A point-in-time copy of counters and estimates.
     pub fn snapshot(&self) -> AdmissionSnapshot {
-        let est = self.est.lock();
+        let est = lock(&self.est);
         let mask = self.shed_mask.load(Ordering::Relaxed);
         AdmissionSnapshot {
             enabled: self.config.enabled,

@@ -48,13 +48,13 @@
 //! be torn mid-frame — all deterministic per `(seed, connection)`.
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionSnapshot};
+use crate::lock;
 use crate::protocol::{
     body_is_admin, decode_admin_request, decode_request, encode_response, AdminOp, AppOp,
     ErrorCode, MetricsFormat, Request, RequestClass, Response, ADMIN_VERSION,
 };
 use crate::span::{RequestSpan, SpanOutcome, SpanRecorder, SpanSnapshot};
 use crate::telemetry::{health_json, TelemetrySnapshot};
-use parking_lot::Mutex;
 use rp_apps::faults::{FaultConfig, FaultPlan, FaultSession, ReadFault, WriteFault};
 use rp_apps::harness::write_socket_frame;
 use rp_apps::harness::{shutdown_runtime, take_socket_frame};
@@ -74,7 +74,7 @@ use rp_sim::latency::LatencyModel;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -696,8 +696,10 @@ impl NetServer {
         // telemetry stays scrapeable for the whole DRAINING window.
         let _ = self.ctx.runtime.drain(Duration::from_secs(10));
         self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the acceptor out of its blocking accept.
+        // Wake the acceptor and an idle admin plane out of their blocking
+        // accepts.
         let _ = TcpStream::connect(self.addr);
+        let _ = TcpStream::connect(self.admin_addr);
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
@@ -720,7 +722,7 @@ impl NetServer {
         // late `ShuttingDown` writes above) and settle every remaining
         // component, so the final aggregates cover the whole run.
         if let Some(state) = &self.ctx.stream {
-            let mut recon = state.recon.lock();
+            let mut recon = lock(&state.recon);
             if let Some(batch) = self.ctx.runtime.drain_trace_events() {
                 if recon.ingest(&batch.events).is_err() {
                     state.ingest_errors.fetch_add(1, Ordering::Relaxed);
@@ -882,7 +884,7 @@ fn admission_refresh_loop(ctx: Arc<ServerCtx>, shutdown: Arc<AtomicBool>, interv
         std::thread::sleep(interval);
         ctx.admission.refresh(&ctx.runtime.metrics());
         if let Some(state) = &ctx.stream {
-            let aggregates = state.recon.lock().aggregates().clone();
+            let aggregates = lock(&state.recon).aggregates().clone();
             ctx.admission.refresh_from_stream(&aggregates);
         }
     }
@@ -911,7 +913,7 @@ fn trace_drain_step(ctx: &Arc<ServerCtx>, idle: &mut u32) {
     let Some(batch) = ctx.runtime.drain_trace_events() else {
         return;
     };
-    let mut recon = state.recon.lock();
+    let mut recon = lock(&state.recon);
     let result = if batch.events.is_empty() {
         *idle += 1;
         let counters = recon.counters();
@@ -949,7 +951,7 @@ fn dispatch(
 ) {
     if body_is_admin(&body) {
         let resp = serve_admin(ctx, &body);
-        let mut w = writer.lock();
+        let mut w = lock(writer);
         write_admin_frame(&mut *w, id, &resp);
         return;
     }
@@ -1068,8 +1070,8 @@ fn respond(
     let _written = ctx.runtime.submit_io_now(priority, move || {
         let verdict = fault
             .as_ref()
-            .map_or(WriteFault::Full, |f| f.lock().on_write(12 + body.len()));
-        let mut w = writer.lock();
+            .map_or(WriteFault::Full, |f| lock(f).on_write(12 + body.len()));
+        let mut w = lock(&writer);
         match verdict {
             WriteFault::Full => {
                 let ok = write_socket_frame(&mut *w, id, &body).is_ok();
@@ -1130,7 +1132,7 @@ fn net_stats_snapshot(ctx: &ServerCtx) -> NetStatsSnapshot {
         retired_subgraphs: ctx
             .stream
             .as_ref()
-            .map_or(0, |s| s.recon.lock().aggregates().retired_subgraphs),
+            .map_or(0, |s| lock(&s.recon).aggregates().retired_subgraphs),
     }
 }
 
@@ -1138,7 +1140,7 @@ fn net_stats_snapshot(ctx: &ServerCtx) -> NetStatsSnapshot {
 /// (shared by [`NetServer::stream_stats`] and the admin plane).
 fn stream_stats_snapshot(ctx: &ServerCtx) -> Option<StreamStatsSnapshot> {
     let state = ctx.stream.as_ref()?;
-    let recon = state.recon.lock();
+    let recon = lock(&state.recon);
     Some(StreamStatsSnapshot {
         aggregates: recon.aggregates().clone(),
         counters: recon.counters(),
@@ -1173,7 +1175,7 @@ fn telemetry_snapshot(ctx: &ServerCtx) -> TelemetrySnapshot {
 /// samples yet.
 fn live_level_slack(ctx: &ServerCtx, level: usize) -> Option<f64> {
     let state = ctx.stream.as_ref()?;
-    let recon = state.recon.lock();
+    let recon = lock(&state.recon);
     recon
         .aggregates()
         .levels
@@ -1237,33 +1239,41 @@ fn serve_admin(ctx: &Arc<ServerCtx>, body: &[u8]) -> Response {
 /// *after* the drain phase — so the telemetry plane keeps answering for
 /// the whole DRAINING window.  Non-admin bodies sent here get a
 /// `Malformed` error: the admin port carries telemetry only.
+///
+/// With no scraper connected the thread blocks in `accept`, so an idle
+/// admin plane costs no CPU; `NetServer::shutdown` wakes it by connecting
+/// once the flag is set.  While scrapers are connected, accepting turns
+/// non-blocking and the loop polls their sockets.
 fn admin_loop(listener: TcpListener, ctx: Arc<ServerCtx>, shutdown: Arc<AtomicBool>) {
-    let _ = listener.set_nonblocking(true);
     let mut conns: Vec<(TcpStream, Vec<u8>)> = Vec::new();
     let mut chunk = [0u8; 16 * 1024];
     while !shutdown.load(Ordering::SeqCst) {
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    // Accepted sockets inherit the listener's non-blocking
-                    // flag on some platforms; admin reads block for up to a
-                    // read timeout (rounded up to a scheduler tick), which a
-                    // handful of scrapers can afford.
-                    let _ = stream.set_nonblocking(false);
-                    let _ = stream.set_nodelay(true);
-                    let _ = stream.set_read_timeout(Some(SHARD_POLL));
-                    conns.push((stream, Vec::new()));
-                }
-                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
         if conns.is_empty() {
-            std::thread::sleep(SHARD_POLL);
-            continue;
+            let _ = listener.set_nonblocking(false);
+            match listener.accept() {
+                Ok((stream, _)) => conns.push(admin_conn(stream)),
+                // Out of descriptors or the like: retry after a pause
+                // rather than spin.
+                Err(_) => std::thread::sleep(SHARD_POLL),
+            }
+            let _ = listener.set_nonblocking(true);
+        }
+        while let Ok((stream, _)) = listener.accept() {
+            conns.push(admin_conn(stream));
         }
         conns.retain_mut(|(stream, buf)| poll_admin_conn(&ctx, stream, buf, &mut chunk));
     }
+}
+
+/// Readies an accepted admin socket and its empty frame buffer.
+fn admin_conn(stream: TcpStream) -> (TcpStream, Vec<u8>) {
+    // Accepted sockets inherit the listener's non-blocking flag on some
+    // platforms; admin reads block for up to a read timeout (rounded up to
+    // a scheduler tick), which a handful of scrapers can afford.
+    let _ = stream.set_nonblocking(false);
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(SHARD_POLL));
+    (stream, Vec::new())
 }
 
 /// One poll of one admin connection: read, frame, answer.  Returns `false`

@@ -28,9 +28,10 @@
 //! `infer`/`execute`/`reply-write` histograms aggregate *executed* requests
 //! exclusively.
 
+use crate::lock;
 use crate::protocol::RequestClass;
-use parking_lot::Mutex;
 use rp_sim::stats::LatencyStats;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// The number of phases a span is broken into.
@@ -289,11 +290,11 @@ impl SpanRecorder {
             total_ns = phase_ns[Phase::Decode.index()] + phase_ns[Phase::Queue.index()];
         }
         let Some(class) = class else {
-            *self.unclassified.lock() += 1;
+            *lock(&self.unclassified) += 1;
             return;
         };
         {
-            let mut spans = self.classes[class.tag() as usize].lock();
+            let mut spans = lock(&self.classes[class.tag() as usize]);
             match outcome {
                 SpanOutcome::Executed => {
                     for phase in Phase::ALL {
@@ -322,7 +323,7 @@ impl SpanRecorder {
     /// Inserts into the slow log if the entry beats (or fits beside) the
     /// current top-K by total latency.
     fn note_slow(&self, entry: SlowEntry) {
-        let mut slow = self.slow.lock();
+        let mut slow = lock(&self.slow);
         if slow.len() >= self.slow_capacity {
             // Index of the fastest retained entry.
             let (min_idx, min) = slow
@@ -343,7 +344,7 @@ impl SpanRecorder {
     /// descending by total latency.
     pub fn snapshot(&self) -> SpanSnapshot {
         let classes = std::array::from_fn(|i| {
-            let spans = self.classes[i].lock();
+            let spans = lock(&self.classes[i]);
             ClassSpanSnapshot {
                 phases: spans.phases.clone(),
                 total: spans.total.clone(),
@@ -351,12 +352,12 @@ impl SpanRecorder {
                 shed: spans.shed,
             }
         });
-        let mut slow = self.slow.lock().clone();
+        let mut slow = lock(&self.slow).clone();
         slow.sort_by_key(|e| std::cmp::Reverse(e.total_ns));
         SpanSnapshot {
             classes,
             slow,
-            unclassified: *self.unclassified.lock(),
+            unclassified: *lock(&self.unclassified),
         }
     }
 }

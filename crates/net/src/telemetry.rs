@@ -21,8 +21,8 @@
 //! [`LogHistogram::MAX_RELATIVE_ERROR`].
 //!
 //! The JSON here is assembled by hand (`write!` into a `String`): the
-//! vendored serde is a no-op stub, and the document's shape is fixed, so a
-//! serializer would buy nothing.
+//! workspace has no serialization crate, and the document's shape is fixed,
+//! so one would buy nothing.
 //!
 //! [`LogHistogram::percentile`]: rp_sim::histogram::LogHistogram::percentile
 //! [`LogHistogram::MAX_RELATIVE_ERROR`]: rp_sim::histogram::LogHistogram::MAX_RELATIVE_ERROR

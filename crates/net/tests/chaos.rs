@@ -575,3 +575,70 @@ fn mutated_admin_frames_never_wedge_the_admin_plane_or_touch_data_counters() {
     server.shutdown();
     assert_threads_settle(baseline, "admin storm");
 }
+
+/// `(utime + stime in clock ticks, voluntary context switches)` of this
+/// process's thread whose name starts with `name` (the kernel keeps the
+/// first 15 bytes of a thread name).
+fn thread_cpu(name: &str) -> (u64, u64) {
+    let prefix = &name[..name.len().min(15)];
+    for entry in std::fs::read_dir("/proc/self/task").expect("/proc/self/task") {
+        let dir = entry.expect("task entry").path();
+        let Ok(comm) = std::fs::read_to_string(dir.join("comm")) else {
+            continue;
+        };
+        if comm.trim_end() != prefix {
+            continue;
+        }
+        let stat = std::fs::read_to_string(dir.join("stat")).expect("task stat");
+        // Fields after the parenthesised name start at field 3 (state);
+        // utime and stime are fields 14 and 15.
+        let fields: Vec<&str> = stat[stat.rfind(')').expect("comm") + 2..]
+            .split_whitespace()
+            .collect();
+        let ticks =
+            fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime");
+        let status = std::fs::read_to_string(dir.join("status")).expect("task status");
+        let switches = status
+            .lines()
+            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+            .map_or(0, |v| v.trim().parse().expect("switch count"));
+        return (ticks, switches);
+    }
+    panic!("no thread named {name}");
+}
+
+/// An idle admin plane blocks in `accept` instead of polling: over a
+/// second with no scraper connected — after one scraper has come and gone —
+/// its thread uses at most one clock tick of CPU and barely wakes.  The
+/// polling loop it replaced slept 200 µs at a time, about 5000 wake-ups and
+/// 22–40 ms of CPU per second.  Shutdown still wakes and joins it.
+#[test]
+fn idle_admin_plane_sleeps_in_accept() {
+    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    let baseline = thread_count();
+    let server = small_server(None);
+    let health = rp_net::telemetry::scrape(
+        server.admin_addr(),
+        AdminOp::Health,
+        Duration::from_secs(10),
+    )
+    .expect("health scrape");
+    assert!(health.contains("\"state\""), "{health}");
+    // Let the admin thread see the scraper hang up and go back to `accept`.
+    std::thread::sleep(Duration::from_millis(100));
+    let (ticks0, switches0) = thread_cpu("rp-net-admin-plane");
+    std::thread::sleep(Duration::from_secs(1));
+    let (ticks1, switches1) = thread_cpu("rp-net-admin-plane");
+    assert!(
+        ticks1 - ticks0 <= 1,
+        "idle admin plane used {} clock ticks of CPU in 1 s",
+        ticks1 - ticks0
+    );
+    assert!(
+        switches1 - switches0 <= 20,
+        "idle admin plane woke {} times in 1 s",
+        switches1 - switches0
+    );
+    server.shutdown();
+    assert_threads_settle(baseline, "idle admin plane shutdown");
+}

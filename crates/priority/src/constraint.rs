@@ -17,7 +17,6 @@
 
 use crate::domain::PriorityDomain;
 use crate::var::{PrioSubst, PrioTerm, PrioVar};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A priority constraint `C ::= ρ ⪯ ρ | C ∧ C`.
@@ -31,7 +30,7 @@ use std::fmt;
 ///     .and(Constraint::leq(dom.by_index(1), dom.by_index(2)));
 /// assert_eq!(c.conjuncts().len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Constraint {
     /// `lhs ⪯ rhs`.
     Leq {

@@ -6,7 +6,6 @@
 //! reflexive-transitive order relation `⪯` is precomputed as a reachability
 //! matrix so ordering queries are `O(1)`.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -26,7 +25,7 @@ use std::fmt;
 /// let lo = dom.priority("lo").unwrap();
 /// assert_eq!(dom.name(lo), "lo");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Priority(pub(crate) u32);
 
 impl Priority {
@@ -219,7 +218,7 @@ impl PriorityDomainBuilder {
 /// let high = dom.priority("high").unwrap();
 /// assert!(dom.lt(low, high));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PriorityDomain {
     names: Vec<String>,
     index: HashMap<String, u32>,
@@ -499,18 +498,8 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn debug_output_names_the_levels() {
         let d = PriorityDomain::numeric(3);
-        let json = serde_json_like(&d);
-        assert!(json.contains("p0"));
-    }
-
-    // serde_json is not an allowed dependency; exercise Serialize via the
-    // Debug-level check that the derive exists by serializing to a simple
-    // in-memory format provided by serde's test-friendly `to_string` on
-    // `serde::Serialize`. We emulate by using `format!` on Debug which is
-    // enough to ensure the fields exist; the derive itself is compile-checked.
-    fn serde_json_like(d: &PriorityDomain) -> String {
-        format!("{d:?}")
+        assert!(format!("{d:?}").contains("p0"));
     }
 }

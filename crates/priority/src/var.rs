@@ -7,7 +7,6 @@
 //! a [`PrioVar`]; substitutions ([`PrioSubst`]) map variables to terms.
 
 use crate::domain::Priority;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -20,7 +19,7 @@ use std::fmt;
 /// let pi = PrioVar::new("pi");
 /// assert_eq!(pi.name(), "pi");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PrioVar(String);
 
 impl PrioVar {
@@ -60,7 +59,7 @@ impl From<&str> for PrioVar {
 /// assert!(t1.is_const());
 /// assert!(!t2.is_const());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum PrioTerm {
     /// A concrete priority level of the ambient domain.
     Const(Priority),

@@ -1,6 +1,5 @@
 //! Virtual time and a discrete-event queue.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -8,9 +7,7 @@ use std::ops::{Add, AddAssign, Sub};
 
 /// A point in virtual time, measured in microseconds from the start of the
 /// simulation.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtualTime(pub u64);
 
 impl VirtualTime {

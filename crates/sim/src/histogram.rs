@@ -15,8 +15,6 @@
 //! clone-and-sort on every percentile query — of the previous
 //! sample-retaining implementation.
 
-use serde::{Deserialize, Serialize};
-
 /// log2 of the linear sub-bucket resolution.
 const SUB_BITS: u32 = 7;
 /// First power of two whose range is bucketed rather than exact.
@@ -33,7 +31,7 @@ const NUM_BUCKETS: usize = PRECISION as usize + OCTAVES * SUB_BUCKETS; // 3776
 ///
 /// All operations are deterministic; two histograms fed the same multiset of
 /// samples in any order are equal.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LogHistogram {
     /// Bucket occupancy counts; allocated to `NUM_BUCKETS` on first record
     /// so an empty histogram costs nothing.

@@ -8,11 +8,10 @@ use crate::clock::VirtualTime;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// A distribution of I/O latencies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LatencyModel {
     /// Every operation takes exactly this many microseconds.
     Constant {

@@ -15,11 +15,10 @@
 //! (relatively) above it.
 
 use crate::histogram::LogHistogram;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// An accumulator of latency samples (in nanoseconds internally).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencyStats {
     hist: LogHistogram,
 }
@@ -117,7 +116,7 @@ impl LatencyStats {
 /// The ratio between two statistics, used for the paper's
 /// "responsiveness ratio" and "compute time ratio" figures
 /// (baseline / treatment, so values above 1 mean the treatment is better).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RatioSummary {
     /// Ratio of the means.
     pub mean_ratio: f64,
