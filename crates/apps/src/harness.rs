@@ -1010,8 +1010,7 @@ pub fn collect_trace(rt: &Runtime) -> Result<TraceRunReport, TraceHarvestError> 
     let run = trace
         .reconstruct()
         .map_err(TraceHarvestError::Reconstruct)?;
-    let observed = run.check_observed();
-    let replay = run.check_replay(run.schedule.num_cores);
+    let (observed, replay) = run.check_observed_and_replay(run.schedule.num_cores);
     Ok(TraceRunReport {
         run,
         observed,

@@ -9,11 +9,14 @@
 //! * `u ⊒ʷ u'` — *weak ancestor*: there exists a path from `u` to `u'`
 //!   containing at least one weak edge.
 //!
-//! [`Reachability`] answers all three from two bit matrices (`⊒ˢ` is `⊒`
-//! without `⊒ʷ`), so the well-formedness checks, strengthening, and span
-//! computations are cheap.
+//! [`Reachability`] answers all three from bit matrices (`⊒ˢ` is `⊒`
+//! without `⊒ʷ`), and hands whole rows to the crate's per-thread queries,
+//! so the well-formedness checks, strengthening, competitor work and span
+//! computations are word operations.  [`PriorityFacts`] holds the
+//! priority side of those queries, computed once per graph.
 
 use crate::graph::{CostDag, VertexId};
+use rp_priority::Priority;
 
 /// A simple dense bit matrix over vertex pairs.
 #[derive(Debug, Clone)]
@@ -46,19 +49,22 @@ impl BitMatrix {
 
     /// `row(i) |= row(j)`, returning whether `row(i)` changed.
     pub(crate) fn or_row(&mut self, i: usize, j: usize) -> bool {
-        let mut changed = false;
-        let (ri, rj) = (i * self.words_per_row, j * self.words_per_row);
-        for w in 0..self.words_per_row {
-            // Split borrows by copying the source word first.
-            let src = self.bits[rj + w];
-            let dst = &mut self.bits[ri + w];
-            let new = *dst | src;
-            if new != *dst {
-                *dst = new;
-                changed = true;
-            }
+        let w = self.words_per_row;
+        if i == j {
+            return false;
         }
-        changed
+        let (lo, hi) = self.bits.split_at_mut(i.max(j) * w);
+        let (dst, src) = if i < j {
+            (&mut lo[i * w..(i + 1) * w], &hi[..w])
+        } else {
+            (&mut hi[..w], &lo[j * w..(j + 1) * w])
+        };
+        let mut changed = 0;
+        for (d, s) in dst.iter_mut().zip(src) {
+            changed |= *s & !*d;
+            *d |= *s;
+        }
+        changed != 0
     }
 
     /// `self.row(i) |= other.row(j)` across two matrices, word at a time.
@@ -69,9 +75,50 @@ impl BitMatrix {
             self.bits[ri + w] |= other.bits[rj + w];
         }
     }
+
+    /// Row `i` as words; bit `j % 64` of word `j / 64` is entry `(i, j)`.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> &[u64] {
+        &self.bits[i * self.words_per_row..(i + 1) * self.words_per_row]
+    }
+}
+
+/// Whether `v`'s bit is set in a row of words.
+#[inline]
+pub(crate) fn has(row: &[u64], v: VertexId) -> bool {
+    row[v.index() / 64] & (1u64 << (v.index() % 64)) != 0
+}
+
+/// The set bits of a row given word by word, as ascending vertex ids.
+pub(crate) fn ones(words: impl Iterator<Item = u64>) -> impl Iterator<Item = VertexId> {
+    words.enumerate().flat_map(|(w, mut word)| {
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let bit = word.trailing_zeros();
+                word &= word - 1;
+                VertexId((w * 64) as u32 + bit)
+            })
+        })
+    })
+}
+
+/// The row of vertices satisfying `keep`, one bit per vertex.
+pub(crate) fn vertex_row(dag: &CostDag, keep: impl Fn(VertexId) -> bool) -> Vec<u64> {
+    let mut row = vec![0; dag.vertex_count().div_ceil(64)];
+    for v in dag.vertices().filter(|&v| keep(v)) {
+        row[v.index() / 64] |= 1 << (v.index() % 64);
+    }
+    row
 }
 
 /// Precomputed reachability relations for a [`CostDag`].
+///
+/// Three `V×V` bit matrices, each row a vertex's bit set packed 64 to a
+/// word: the *descendant* matrix (row `u` holds every `v` with `u ⊒ v`),
+/// its transpose, the *ancestor* matrix (row `v` holds every `u` with
+/// `u ⊒ v`), and the *weak-descendant* matrix (row `u` holds every `v`
+/// with `u ⊒ʷ v`).  Pair queries read one bit; the crate's per-thread
+/// queries combine whole rows a word at a time.
 ///
 /// # Example
 ///
@@ -95,13 +142,15 @@ pub struct Reachability {
     n: usize,
     /// `any[u][v]`: some path (reflexive) from u to v.
     any: BitMatrix,
+    /// `anc[v][u]`: some path (reflexive) from u to v — `any` transposed.
+    anc: BitMatrix,
     /// `weak[u][v]`: some path from u to v containing ≥1 weak edge.
     weak: BitMatrix,
 }
 
 impl Reachability {
-    /// Computes the relations for a graph: two `V×V` bit matrices, filled
-    /// in `O(V·E/64)` word operations.
+    /// Computes the relations for a graph: three `V×V` bit matrices, each
+    /// filled in `O(V·E/64)` word operations.
     ///
     /// The graph must be acyclic (builders guarantee this); otherwise the
     /// computation still terminates but relations over vertices on cycles
@@ -109,32 +158,9 @@ impl Reachability {
     pub fn new(dag: &CostDag) -> Self {
         let n = dag.vertex_count();
         let order = topological_order(dag);
-        let mut any = BitMatrix::new(n);
-        let mut weak = BitMatrix::new(n);
-        for v in 0..n {
-            any.set(v, v);
-        }
-        // Process in reverse topological order so successors are done first.
-        // The graph's CSR index provides the out-edge slices; the matrices
-        // are separate objects, so no successor list needs to be cloned per
-        // vertex.
-        for &u_id in order.iter().rev() {
-            let u = u_id.index();
-            for e in dag.out_edges(u_id) {
-                let v = e.to.index();
-                any.or_row(u, v);
-                if e.kind.is_strong() {
-                    weak.or_row(u, v);
-                } else {
-                    // A weak edge makes every vertex reachable from v a weak
-                    // descendant of u: fold v's `any` row into u's `weak` row
-                    // a word at a time.  It still contributes to `any`,
-                    // handled above.
-                    weak.or_row_from(u, &any, v);
-                }
-            }
-        }
-        Reachability { n, any, weak }
+        let (any, weak) = descendant_rows(dag, &order);
+        let anc = ancestor_rows(dag, &order);
+        Reachability { n, any, anc, weak }
     }
 
     /// Number of vertices the relations were computed over.
@@ -168,6 +194,131 @@ impl Reachability {
     pub fn parallel(&self, u: VertexId, v: VertexId) -> bool {
         !self.is_ancestor(u, v) && !self.is_ancestor(v, u)
     }
+
+    /// `{v | u ⊒ v}` as a row of words (bits past `len()` are clear).
+    pub(crate) fn descendants(&self, u: VertexId) -> &[u64] {
+        self.any.row(u.index())
+    }
+
+    /// `{u | u ⊒ v}` as a row of words (bits past `len()` are clear).
+    pub(crate) fn ancestors(&self, v: VertexId) -> &[u64] {
+        self.anc.row(v.index())
+    }
+
+    /// `{v | u ⊒ʷ v}` as a row of words (bits past `len()` are clear).
+    pub(crate) fn weak_descendants(&self, u: VertexId) -> &[u64] {
+        self.weak.row(u.index())
+    }
+}
+
+/// The descendant and weak-descendant matrices, filled in reverse
+/// topological order so every successor's rows are complete first.
+fn descendant_rows(dag: &CostDag, order: &[VertexId]) -> (BitMatrix, BitMatrix) {
+    let n = dag.vertex_count();
+    let mut any = BitMatrix::new(n);
+    let mut weak = BitMatrix::new(n);
+    for v in 0..n {
+        any.set(v, v);
+    }
+    // The graph's CSR index provides the out-edge slices; the matrices are
+    // separate objects, so no successor list needs to be cloned per vertex.
+    for &u_id in order.iter().rev() {
+        let u = u_id.index();
+        for e in dag.out_edges(u_id) {
+            let v = e.to.index();
+            any.or_row(u, v);
+            if e.kind.is_strong() {
+                weak.or_row(u, v);
+            } else {
+                // A weak edge makes every vertex reachable from v a weak
+                // descendant of u: fold v's `any` row into u's `weak` row
+                // a word at a time.  It still contributes to `any`,
+                // handled above.
+                weak.or_row_from(u, &any, v);
+            }
+        }
+    }
+    (any, weak)
+}
+
+/// The ancestor matrix (the descendant matrix's transpose), filled in
+/// topological order so every predecessor's row is complete first.
+fn ancestor_rows(dag: &CostDag, order: &[VertexId]) -> BitMatrix {
+    let mut anc = BitMatrix::new(dag.vertex_count());
+    for &v_id in order {
+        let v = v_id.index();
+        anc.set(v, v);
+        for e in dag.in_edges(v_id) {
+            anc.or_row(v, e.from.index());
+        }
+    }
+    anc
+}
+
+/// The priority side of Definitions 1 and 2 and of competitor work,
+/// computed once per graph.
+///
+/// For each level `ρ` of the graph's domain it keeps two vertex rows, and
+/// for the graph the strong edges that invert priority.  A thread's
+/// queries then combine these rows with [`Reachability`]'s rows a word at
+/// a time instead of asking the domain about every vertex.
+#[derive(Debug)]
+pub(crate) struct PriorityFacts {
+    words: usize,
+    /// Level-major rows: `{u | Prio(u) ⊀ ρ}`, the vertices that compete
+    /// with a thread at `ρ` (Section 2.3).
+    competes: Vec<u64>,
+    /// Level-major rows: `{u | ρ ⋠ Prio(u)}`, the vertices whose place on a
+    /// `ρ` thread's critical path Definition 1 forbids.
+    below: Vec<u64>,
+    /// Strong edges `(u₀, u)` with `Prio(u) ⋠ Prio(u₀)`, in edge-list order:
+    /// the only edges Definition 1's second bullet and Definition 2 can
+    /// touch.
+    inverting: Vec<(VertexId, VertexId)>,
+}
+
+impl PriorityFacts {
+    pub(crate) fn new(dag: &CostDag) -> Self {
+        let dom = dag.domain();
+        let mut competes = Vec::new();
+        let mut below = Vec::new();
+        for rho in dom.iter() {
+            competes.extend(vertex_row(dag, |u| dom.not_lt(dag.priority_of(u), rho)));
+            below.extend(vertex_row(dag, |u| !dom.leq(rho, dag.priority_of(u))));
+        }
+        PriorityFacts {
+            words: dag.vertex_count().div_ceil(64),
+            competes,
+            below,
+            inverting: inverting_edges(dag),
+        }
+    }
+
+    /// `{u | Prio(u) ⊀ ρ}` as a row of words.
+    pub(crate) fn competes(&self, rho: Priority) -> &[u64] {
+        let at = rho.index() * self.words;
+        &self.competes[at..at + self.words]
+    }
+
+    /// `{u | ρ ⋠ Prio(u)}` as a row of words.
+    pub(crate) fn below(&self, rho: Priority) -> &[u64] {
+        let at = rho.index() * self.words;
+        &self.below[at..at + self.words]
+    }
+
+    /// The strong edges `(u₀, u)` with `Prio(u) ⋠ Prio(u₀)`.
+    pub(crate) fn inverting(&self) -> &[(VertexId, VertexId)] {
+        &self.inverting
+    }
+}
+
+/// The strong edges `(u₀, u)` with `Prio(u) ⋠ Prio(u₀)`, in edge-list order.
+fn inverting_edges(dag: &CostDag) -> Vec<(VertexId, VertexId)> {
+    let dom = dag.domain();
+    dag.strong_edges()
+        .filter(|e| !dom.leq(dag.priority_of(e.to), dag.priority_of(e.from)))
+        .map(|e| (e.from, e.to))
+        .collect()
 }
 
 /// A topological order of the graph's vertices considering all edges.
@@ -308,6 +459,61 @@ mod tests {
         assert!(!ready1.contains(&c1));
     }
 
+    /// Every row accessor against the pair queries on the shared
+    /// well-formedness corpus (word tails included): the ancestor rows are
+    /// the descendant rows transposed, and no row sets a bit past `len()`.
+    #[test]
+    fn rows_agree_with_the_pair_queries() {
+        for (i, g) in crate::wellformed::tests::corpus().iter().enumerate() {
+            let r = Reachability::new(g);
+            for u in g.vertices() {
+                for v in g.vertices() {
+                    assert_eq!(has(r.ancestors(v), u), r.is_ancestor(u, v), "graph {i}");
+                    assert_eq!(has(r.descendants(u), v), r.is_ancestor(u, v), "graph {i}");
+                    assert_eq!(
+                        has(r.weak_descendants(u), v),
+                        r.is_weak_ancestor(u, v),
+                        "graph {i}"
+                    );
+                }
+                for row in [r.ancestors(u), r.descendants(u), r.weak_descendants(u)] {
+                    assert!(ones(row.iter().copied()).all(|v| v.index() < r.len()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn priority_facts_agree_with_the_domain() {
+        for (i, g) in crate::wellformed::tests::corpus().iter().enumerate() {
+            let (dom, facts) = (g.domain(), PriorityFacts::new(g));
+            for rho in dom.iter() {
+                for u in g.vertices() {
+                    let p = g.priority_of(u);
+                    assert_eq!(has(facts.competes(rho), u), dom.not_lt(p, rho), "graph {i}");
+                    assert_eq!(has(facts.below(rho), u), !dom.leq(rho, p), "graph {i}");
+                }
+                for row in [facts.competes(rho), facts.below(rho)] {
+                    assert!(ones(row.iter().copied()).all(|v| v.index() < g.vertex_count()));
+                }
+            }
+            let inverting: Vec<_> = g
+                .strong_edges()
+                .filter(|e| !dom.leq(g.priority_of(e.to), g.priority_of(e.from)))
+                .map(|e| (e.from, e.to))
+                .collect();
+            assert_eq!(facts.inverting(), inverting, "graph {i}");
+        }
+    }
+
+    #[test]
+    fn ones_lists_set_bits_in_ascending_order() {
+        let row = [0b101, 0, 1 << 63];
+        let bits: Vec<usize> = ones(row.into_iter()).map(VertexId::index).collect();
+        assert_eq!(bits, vec![0, 2, 191]);
+        assert_eq!(ones(std::iter::empty()).count(), 0);
+    }
+
     #[test]
     fn bitmatrix_basics() {
         let mut m = BitMatrix::new(130);
@@ -318,5 +524,9 @@ mod tests {
         assert!(m.or_row(0, 1));
         assert!(m.get(0, 3));
         assert!(!m.or_row(0, 1), "no change the second time");
+        // A lower row into a higher one, and a row into itself.
+        assert!(m.or_row(1, 0));
+        assert!(m.get(1, 129) && m.get(1, 3));
+        assert!(!m.or_row(1, 1));
     }
 }

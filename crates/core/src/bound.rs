@@ -11,11 +11,12 @@
 //! [`check_response_time_bound`] compares it against the observed response
 //! time of a concrete schedule, producing a [`BoundReport`].
 
-use crate::analysis::Reachability;
+use crate::analysis::{PriorityFacts, Reachability};
 use crate::graph::{CostDag, ThreadId};
-use crate::metrics::{a_span_over, a_span_with, competitor_work_with};
+use crate::metrics::{a_span_over, a_span_with, competitor_work_in};
 use crate::schedule::{admissible_in, response_time_in, Schedule};
 use crate::strengthen::{strengthening_is_identity, strengthening_with};
+use crate::wellformed::well_formed_errors;
 use std::cell::RefCell;
 
 /// The outcome of checking Theorem 2.3 on one thread and one schedule.
@@ -87,37 +88,42 @@ impl BoundReport {
 }
 
 /// A per-graph cache of everything the bound computation needs that does not
-/// depend on a schedule: the reachability relations (two `V×V` bit
-/// matrices), the well-formedness verdict, and the per-thread
-/// `(competitor work, a-span)` pairs (computed on demand and memoized, since
-/// the strengthening is inherently per-thread).  A thread's a-span builds the
-/// strengthened copy of the graph only when Definition 2 rewrites one of its
-/// edges; otherwise it walks the base graph.  The same relations answer
-/// Definition 4 through
+/// depend on a schedule: the reachability relations (three `V×V` bit
+/// matrices, see [`Reachability`]), the priority rows and inverting edges
+/// every per-thread query shares, the well-formedness verdict, and the
+/// per-thread `(competitor work, a-span)` pairs (computed on demand and
+/// memoized, since the strengthening is inherently per-thread).  A thread's
+/// competitor work is a popcount over three rows; its a-span builds the
+/// strengthened copy of the graph only when Definition 2 rewrites one of
+/// its edges, and otherwise walks the base graph.  The same relations
+/// answer Definition 4 through
 /// [`check_strongly_well_formed_with`](crate::wellformed::check_strongly_well_formed_with)
 /// on [`reachability`](Self::reachability).
 ///
 /// Callers that check bounds for several threads or several schedules of the
 /// same graph should build one `BoundAnalysis` and reuse it; the one-shot
-/// helpers below construct a fresh analysis per call, which recomputes both
-/// `O(V·E/64)` reachability matrices every time.
+/// helpers below construct a fresh analysis per call, which recomputes all
+/// three `O(V·E/64)` reachability matrices every time.
 #[derive(Debug)]
 pub struct BoundAnalysis<'g> {
     dag: &'g CostDag,
     reach: Reachability,
+    facts: PriorityFacts,
     well_formed: bool,
     metrics: RefCell<Vec<Option<(usize, usize)>>>,
 }
 
 impl<'g> BoundAnalysis<'g> {
-    /// Analyses a graph: reachability and well-formedness are computed once,
-    /// here; per-thread metrics lazily.
+    /// Analyses a graph: reachability, the priority facts and
+    /// well-formedness are computed once, here; per-thread metrics lazily.
     pub fn new(dag: &'g CostDag) -> Self {
         let reach = Reachability::new(dag);
-        let well_formed = crate::wellformed::check_well_formed_with(dag, &reach).is_ok();
+        let facts = PriorityFacts::new(dag);
+        let well_formed = well_formed_errors(dag, &reach, &facts).is_empty();
         BoundAnalysis {
             dag,
             reach,
+            facts,
             well_formed,
             metrics: RefCell::new(vec![None; dag.thread_count()]),
         }
@@ -143,11 +149,11 @@ impl<'g> BoundAnalysis<'g> {
         if let Some(m) = self.metrics.borrow()[a.index()] {
             return m;
         }
-        let (dag, reach) = (self.dag, &self.reach);
-        let w = competitor_work_with(dag, a, reach);
+        let (dag, reach, facts) = (self.dag, &self.reach, &self.facts);
+        let w = competitor_work_in(dag, a, reach, facts.competes(dag.thread_priority(a)));
         // Definition 2 rewrites no edge for most threads: their ĝₐ is the
         // base graph, so the a-span walks it without a strengthened copy.
-        let s = if !strengthening_is_identity(dag, a, reach) {
+        let s = if !strengthening_is_identity(dag, a, reach, facts) {
             a_span_with(dag, a, reach, &strengthening_with(dag, a, reach))
         } else {
             a_span_over(dag, a, reach, &|v| dag.strong_parents(v))
@@ -499,7 +505,7 @@ mod tests {
             for a in dag.threads() {
                 let st = strengthening_with(dag, a, reach);
                 assert_eq!(
-                    strengthening_is_identity(dag, a, reach),
+                    strengthening_is_identity(dag, a, reach, &analysis.facts),
                     st.removed.is_empty(),
                     "graph {g} {a:?}"
                 );
@@ -507,7 +513,7 @@ mod tests {
                     rewritten += 1;
                 }
                 let expected = (
-                    competitor_work_with(dag, a, reach),
+                    crate::metrics::competitor_work_with(dag, a, reach),
                     a_span_with(dag, a, reach, &st),
                 );
                 assert_eq!(analysis.thread_metrics(a), expected, "graph {g} {a:?}");
@@ -517,6 +523,35 @@ mod tests {
             rewritten > 0,
             "no thread exercised a rewriting strengthening"
         );
+    }
+
+    /// The analysis against the vertex-by-vertex references on every
+    /// thread of the well-formedness corpus (lawless graphs with inverting
+    /// edges, word tails, single-vertex threads): the well-formedness
+    /// verdict, and `thread_metrics` as competitor work counted per vertex
+    /// and the a-span with a pair lookup per vertex over the same graph the
+    /// analysis walks.
+    #[test]
+    fn thread_metrics_match_the_vertex_by_vertex_references() {
+        use crate::metrics::tests::{a_span_by_lookup, competitor_work_by_vertex};
+        use crate::wellformed::tests::{corpus, well_formed_errors_by_vertex};
+        let mut ill_formed = 0;
+        for (i, g) in corpus().iter().enumerate() {
+            let analysis = BoundAnalysis::new(g);
+            let reach = analysis.reachability();
+            let verdict = well_formed_errors_by_vertex(g, reach).is_empty();
+            assert_eq!(analysis.is_well_formed(), verdict, "graph {i}");
+            ill_formed += usize::from(!verdict);
+            for a in g.threads() {
+                let st = strengthening_with(g, a, reach);
+                let expected = (
+                    competitor_work_by_vertex(g, a, reach),
+                    a_span_by_lookup(g, a, reach, &|v| st.strong_parents(v)),
+                );
+                assert_eq!(analysis.thread_metrics(a), expected, "graph {i} {a:?}");
+            }
+        }
+        assert!(ill_formed >= 10, "only {ill_formed} ill-formed graphs");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Work, span, competitor work, and the a-span.
 
-use crate::analysis::Reachability;
+use crate::analysis::{has, vertex_row, Reachability};
 use crate::graph::{CostDag, ThreadId, VertexId};
 use crate::strengthen::{strengthening_with, StrengthenedDag};
 
@@ -42,18 +42,31 @@ pub fn competitor_work(dag: &CostDag, a: ThreadId) -> usize {
 }
 
 /// Like [`competitor_work`] but reuses an existing reachability analysis.
+///
+/// # Complexity
+///
+/// `O(V)` to mark the vertices of priority `⊀ ρ`, then `O(V/64)` word
+/// operations; a [`BoundAnalysis`](crate::bound::BoundAnalysis) keeps the
+/// marks of every level and pays only the second term per thread.
 pub fn competitor_work_with(dag: &CostDag, a: ThreadId, reach: &Reachability) -> usize {
-    let s = dag.first_vertex(a);
-    let t = dag.last_vertex(a);
-    let rho = dag.thread_priority(a);
-    let dom = dag.domain();
-    dag.vertices()
-        .filter(|&u| {
-            // u is not an ancestor of s, t is not an ancestor of u,
-            // and Prio(u) ⊀ ρ.
-            !reach.is_ancestor(u, s) && !reach.is_ancestor(t, u) && !dom.lt(dag.priority_of(u), rho)
-        })
-        .count()
+    let (dom, rho) = (dag.domain(), dag.thread_priority(a));
+    let competes = vertex_row(dag, |u| dom.not_lt(dag.priority_of(u), rho));
+    competitor_work_in(dag, a, reach, &competes)
+}
+
+/// Competitor work given `competes = {u | Prio(u) ⊀ ρ}` as a row of words:
+/// `popcount(¬anc(s) ∧ ¬desc(t) ∧ competes)`.
+pub(crate) fn competitor_work_in(
+    dag: &CostDag,
+    a: ThreadId,
+    reach: &Reachability,
+    competes: &[u64],
+) -> usize {
+    let anc_s = reach.ancestors(dag.first_vertex(a));
+    let desc_t = reach.descendants(dag.last_vertex(a));
+    (0..competes.len()).fold(0, |count, w| {
+        count + (!anc_s[w] & !desc_t[w] & competes[w]).count_ones() as usize
+    })
 }
 
 /// The a-span `S_a(↛↓a)` of thread `a` (Section 2.3): the number of vertices
@@ -85,10 +98,9 @@ pub(crate) fn a_span_over<'p>(
     reach: &Reachability,
     parents: &dyn Fn(VertexId) -> &'p [VertexId],
 ) -> usize {
-    let s = dag.first_vertex(a);
-    let t = dag.last_vertex(a);
-    let allowed = |v: VertexId| !reach.is_ancestor(v, s);
-    longest_strong_path_to(dag.vertex_count(), parents, t, &allowed)
+    let anc_s = reach.ancestors(dag.first_vertex(a));
+    let allowed = |v: VertexId| !has(anc_s, v);
+    longest_strong_path_to(dag.vertex_count(), parents, dag.last_vertex(a), &allowed)
 }
 
 /// `S_a(V)`: the number of vertices on the longest strong path ending at `t`
@@ -137,10 +149,68 @@ fn longest_strong_path_to<'p>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::build::DagBuilder;
     use rp_priority::PriorityDomain;
+
+    /// Competitor work counted vertex by vertex through pair lookups, as
+    /// before the row operations: the reference for
+    /// [`competitor_work_with`].
+    pub(crate) fn competitor_work_by_vertex(
+        dag: &CostDag,
+        a: ThreadId,
+        reach: &Reachability,
+    ) -> usize {
+        let s = dag.first_vertex(a);
+        let t = dag.last_vertex(a);
+        let rho = dag.thread_priority(a);
+        let dom = dag.domain();
+        dag.vertices()
+            .filter(|&u| {
+                !reach.is_ancestor(u, s)
+                    && !reach.is_ancestor(t, u)
+                    && !dom.lt(dag.priority_of(u), rho)
+            })
+            .count()
+    }
+
+    /// The a-span with `allowed` answered by a pair lookup per vertex, as
+    /// before the ancestor rows: the reference for [`a_span_over`].
+    pub(crate) fn a_span_by_lookup<'p>(
+        dag: &CostDag,
+        a: ThreadId,
+        reach: &Reachability,
+        parents: &dyn Fn(VertexId) -> &'p [VertexId],
+    ) -> usize {
+        let s = dag.first_vertex(a);
+        let allowed = |v: VertexId| !reach.is_ancestor(v, s);
+        longest_strong_path_to(dag.vertex_count(), parents, dag.last_vertex(a), &allowed)
+    }
+
+    #[test]
+    fn row_operations_give_the_vertex_by_vertex_metrics() {
+        let mut counted = 0;
+        for (i, g) in crate::wellformed::tests::corpus().iter().enumerate() {
+            let reach = Reachability::new(g);
+            for a in g.threads() {
+                let w = competitor_work_with(g, a, &reach);
+                assert_eq!(
+                    w,
+                    competitor_work_by_vertex(g, a, &reach),
+                    "graph {i} {a:?}"
+                );
+                counted += w;
+                let base = |v| g.strong_parents(v);
+                assert_eq!(
+                    a_span_over(g, a, &reach, &base),
+                    a_span_by_lookup(g, a, &reach, &base),
+                    "graph {i} {a:?}"
+                );
+            }
+        }
+        assert!(counted > 0, "no thread had competitor work");
+    }
 
     /// A simple fork-join: main = [m0, m1, m2], child = [c0, c1],
     /// create(m0, child), touch(child, m2); both priorities equal.

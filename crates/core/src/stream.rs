@@ -713,8 +713,7 @@ impl IncrementalReconstructor {
                 None
             } else {
                 let run = assemble(&self.domain, self.num_workers, &members, skipped, 0)?;
-                let observed = run.check_observed();
-                let replay = run.check_replay(self.num_workers);
+                let (observed, replay) = run.check_observed_and_replay(self.num_workers);
                 Some(SubgraphReport {
                     run,
                     observed,

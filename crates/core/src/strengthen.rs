@@ -7,7 +7,7 @@
 //! admissible schedule `u′` runs after `u₀`, so the implicit dependence is
 //! preserved while the low-priority vertex `u₀` disappears from the a-span.
 
-use crate::analysis::Reachability;
+use crate::analysis::{ones, PriorityFacts, Reachability};
 use crate::csr::VertexCsr;
 use crate::graph::{CostDag, Edge, ThreadId, VertexId};
 
@@ -102,9 +102,15 @@ fn trigger<'a>(
 /// Whether the a-strengthening of `dag` is the identity: no strong edge
 /// meets Definition 2's trigger, so `ĝₐ` has exactly the base graph's edges
 /// and the a-span may walk the base graph instead of a rewritten copy.
-pub(crate) fn strengthening_is_identity(dag: &CostDag, a: ThreadId, reach: &Reachability) -> bool {
+/// Only the priority-inverting edges of `facts` can meet the trigger.
+pub(crate) fn strengthening_is_identity(
+    dag: &CostDag,
+    a: ThreadId,
+    reach: &Reachability,
+    facts: &PriorityFacts,
+) -> bool {
     let triggers = trigger(dag, a, reach);
-    !dag.strong_edges().any(|e| triggers(e.from, e.to))
+    !facts.inverting().iter().any(|&(u0, u)| triggers(u0, u))
 }
 
 /// Like [`strengthening`] but reuses an existing [`Reachability`] analysis.
@@ -112,6 +118,7 @@ pub fn strengthening_with(dag: &CostDag, a: ThreadId, reach: &Reachability) -> S
     let s = dag.first_vertex(a);
     let t = dag.last_vertex(a);
     let triggers = trigger(dag, a, reach);
+    let (anc_s, anc_t) = (reach.ancestors(s), reach.ancestors(t));
 
     let mut edges: Vec<Edge> = Vec::with_capacity(dag.edges().len());
     let mut removed = Vec::new();
@@ -124,35 +131,18 @@ pub fn strengthening_with(dag: &CostDag, a: ThreadId, reach: &Reachability) -> S
             continue;
         }
         removed.push((u0, u));
-        // Find the witness u' of Definition 2: u' ⊒ˢ t and u0 ⊒ʷ u'.
-        // Prefer a witness that is not a descendant of u (well-formedness
-        // guarantees one exists) so the strengthened graph stays acyclic.
-        let mut witness: Option<VertexId> = None;
-        for cand in dag.vertices() {
-            if reach.is_strong_ancestor(cand, t)
-                && reach.is_weak_ancestor(u0, cand)
-                && !reach.is_ancestor(cand, s)
-            {
-                let non_descendant = !reach.is_ancestor(u, cand);
-                match witness {
-                    None => witness = Some(cand),
-                    Some(w) => {
-                        // Upgrade to a non-descendant witness if the current
-                        // one is a descendant of u.
-                        if non_descendant && reach.is_ancestor(u, w) {
-                            witness = Some(cand);
-                        }
-                    }
-                }
-                if non_descendant {
-                    // Keep scanning only to prefer later continuation points?
-                    // The definition allows any witness; the first
-                    // non-descendant is fine.
-                    witness = Some(cand);
-                    break;
-                }
-            }
-        }
+        // Find the witness u' of Definition 2: u' ⊒ˢ t, u0 ⊒ʷ u' and
+        // u' ⋣ s, lowest id first.  Prefer a witness that is not a
+        // descendant of u (well-formedness guarantees one exists) so the
+        // strengthened graph stays acyclic.
+        let weak_u0 = reach.weak_descendants(u0);
+        let mut witnesses = ones((0..anc_t.len()).map(|w| anc_t[w] & weak_u0[w] & !anc_s[w]))
+            .filter(|&cand| !reach.is_weak_ancestor(cand, t))
+            .peekable();
+        let first = witnesses.peek().copied();
+        let witness = witnesses
+            .find(|&cand| !reach.is_ancestor(u, cand))
+            .or(first);
         if let Some(u_prime) = witness {
             added.push((u_prime, u));
             edges.push(Edge {
@@ -204,6 +194,75 @@ mod tests {
         b.ftouch(c, t).unwrap();
         b.weak(w, u_prime).unwrap();
         (b.build().unwrap(), [s, u_prime, t, u0, w, u])
+    }
+
+    /// Definition 2's witness for the rewritten edge `(u0, u)`, searched
+    /// vertex by vertex through pair lookups as before the row operations:
+    /// the first non-descendant of `u`, else the first candidate.
+    fn witness_by_vertex(
+        dag: &CostDag,
+        a: ThreadId,
+        reach: &Reachability,
+        u0: VertexId,
+        u: VertexId,
+    ) -> Option<VertexId> {
+        let (s, t) = (dag.first_vertex(a), dag.last_vertex(a));
+        let mut witness: Option<VertexId> = None;
+        for cand in dag.vertices() {
+            if reach.is_strong_ancestor(cand, t)
+                && reach.is_weak_ancestor(u0, cand)
+                && !reach.is_ancestor(cand, s)
+            {
+                let non_descendant = !reach.is_ancestor(u, cand);
+                match witness {
+                    None => witness = Some(cand),
+                    Some(w) => {
+                        if non_descendant && reach.is_ancestor(u, w) {
+                            witness = Some(cand);
+                        }
+                    }
+                }
+                if non_descendant {
+                    witness = Some(cand);
+                    break;
+                }
+            }
+        }
+        witness
+    }
+
+    /// The row-operation strengthening against the per-vertex witness
+    /// search, and the inverting-edge identity test against a scan of
+    /// every strong edge, on every thread of the shared corpus.
+    #[test]
+    fn row_operations_give_the_vertex_by_vertex_strengthening() {
+        let mut rewritten = 0;
+        for (i, g) in crate::wellformed::tests::corpus().iter().enumerate() {
+            let reach = Reachability::new(g);
+            let facts = PriorityFacts::new(g);
+            for a in g.threads() {
+                let st = strengthening_with(g, a, &reach);
+                let triggers = trigger(g, a, &reach);
+                let removed: Vec<_> = g
+                    .strong_edges()
+                    .filter(|e| triggers(e.from, e.to))
+                    .map(|e| (e.from, e.to))
+                    .collect();
+                assert_eq!(st.removed, removed, "graph {i} {a:?}");
+                let added: Vec<_> = removed
+                    .iter()
+                    .filter_map(|&(u0, u)| witness_by_vertex(g, a, &reach, u0, u).map(|w| (w, u)))
+                    .collect();
+                assert_eq!(st.added, added, "graph {i} {a:?}");
+                assert_eq!(
+                    strengthening_is_identity(g, a, &reach, &facts),
+                    removed.is_empty(),
+                    "graph {i} {a:?}"
+                );
+                rewritten += usize::from(!removed.is_empty());
+            }
+        }
+        assert!(rewritten >= 10, "only {rewritten} threads were rewritten");
     }
 
     #[test]

@@ -267,7 +267,7 @@ impl ReconstructedRun {
     /// Checks Theorem 2.3 for every thread against the **observed**
     /// schedule.  Reports are indexed by thread id.
     pub fn check_observed(&self) -> Vec<TraceBoundReport> {
-        self.check_schedule(&self.schedule)
+        self.check_schedule(&BoundAnalysis::new(&self.dag), &self.schedule)
     }
 
     /// Checks Theorem 2.3 for every thread against a **replayed** prompt
@@ -278,11 +278,29 @@ impl ReconstructedRun {
     /// implementation.
     pub fn check_replay(&self, num_cores: usize) -> Vec<TraceBoundReport> {
         let replay = weak_respecting_prompt_schedule(&self.dag, num_cores);
-        self.check_schedule(&replay)
+        self.check_schedule(&BoundAnalysis::new(&self.dag), &replay)
     }
 
-    fn check_schedule(&self, schedule: &Schedule) -> Vec<TraceBoundReport> {
+    /// [`check_observed`](Self::check_observed) and
+    /// [`check_replay`](Self::check_replay) over one analysis of the graph:
+    /// the same two report lists, for the cost of one.
+    pub fn check_observed_and_replay(
+        &self,
+        num_cores: usize,
+    ) -> (Vec<TraceBoundReport>, Vec<TraceBoundReport>) {
         let analysis = BoundAnalysis::new(&self.dag);
+        let replay = weak_respecting_prompt_schedule(&self.dag, num_cores);
+        (
+            self.check_schedule(&analysis, &self.schedule),
+            self.check_schedule(&analysis, &replay),
+        )
+    }
+
+    fn check_schedule(
+        &self,
+        analysis: &BoundAnalysis,
+        schedule: &Schedule,
+    ) -> Vec<TraceBoundReport> {
         analysis
             .check_all(schedule)
             .into_iter()
@@ -864,12 +882,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn inverting_touch_becomes_weak_edge() {
+    /// A high-priority task touches a low-priority one: illegal as a
+    /// strong edge, demoted to weak.
+    fn inverting_touch_events() -> Vec<TraceEvent> {
         use TraceEvent::*;
-        // A high-priority task touches a low-priority one: illegal as a
-        // strong edge, demoted to weak.
-        let events = vec![
+        vec![
             Spawn {
                 task: 1,
                 parent: None,
@@ -899,8 +916,14 @@ mod tests {
                 at: 50,
             },
             End { task: 1, at: 60 },
-        ];
-        let run = trace(events, 1, &["lo", "hi"]).reconstruct().unwrap();
+        ]
+    }
+
+    #[test]
+    fn inverting_touch_becomes_weak_edge() {
+        let run = trace(inverting_touch_events(), 1, &["lo", "hi"])
+            .reconstruct()
+            .unwrap();
         assert_eq!(run.dag.touch_edges().len(), 0);
         assert_eq!(run.dag.weak_edges().len(), 1);
         assert!(
@@ -912,6 +935,25 @@ mod tests {
             run.schedule.is_admissible(&run.dag),
             "the observed order satisfied the weak edge"
         );
+    }
+
+    /// One analysis serving both schedules gives exactly the reports of
+    /// two separate calls.
+    #[test]
+    fn shared_analysis_reports_equal_separate_calls() {
+        let runs = [
+            trace(chain_events(), 1, &["only"]),
+            trace(inverting_touch_events(), 1, &["lo", "hi"]),
+        ]
+        .map(|t| t.reconstruct().unwrap());
+        for run in &runs {
+            for p in 1..=3 {
+                assert_eq!(
+                    format!("{:?}", run.check_observed_and_replay(p)),
+                    format!("{:?}", (run.check_observed(), run.check_replay(p)))
+                );
+            }
+        }
     }
 
     #[test]

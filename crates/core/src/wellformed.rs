@@ -7,7 +7,7 @@
 //! [`check_strongly_well_formed`] together with [`check_well_formed`] lets us
 //! test that implication on arbitrary graphs.
 
-use crate::analysis::Reachability;
+use crate::analysis::{has, ones, PriorityFacts, Reachability};
 use crate::graph::{CostDag, EdgeKind, ThreadId, VertexId};
 use std::fmt;
 
@@ -89,6 +89,15 @@ pub fn check_well_formed(dag: &CostDag) -> Result<(), Vec<WellFormedError>> {
 
 /// Like [`check_well_formed`] but reuses an existing reachability analysis.
 ///
+/// # Complexity
+///
+/// Given the analysis, `O(L·V)` to derive the priority rows (`L` levels),
+/// then per thread `O(V/64)` word operations plus one bit lookup per
+/// strong ancestor of its last vertex that Definition 1's first bullet
+/// flags, and `O(V/64)` per priority-inverting strong edge for the second
+/// bullet.  A [`BoundAnalysis`](crate::bound::BoundAnalysis) derives the
+/// priority rows once for all its queries.
+///
 /// # Errors
 ///
 /// Returns the list of violations when the graph is not well-formed.
@@ -96,19 +105,33 @@ pub fn check_well_formed_with(
     dag: &CostDag,
     reach: &Reachability,
 ) -> Result<(), Vec<WellFormedError>> {
-    let dom = dag.domain();
+    let errors = well_formed_errors(dag, reach, &PriorityFacts::new(dag));
+    if errors.is_empty() {
+        Ok(())
+    } else {
+        Err(errors)
+    }
+}
+
+/// Every Definition 1 violation, thread by thread: first-bullet vertices
+/// in ascending order, then second-bullet edges in edge-list order.
+pub(crate) fn well_formed_errors(
+    dag: &CostDag,
+    reach: &Reachability,
+    facts: &PriorityFacts,
+) -> Vec<WellFormedError> {
     let mut errors = Vec::new();
     for a in dag.threads() {
         let rho = dag.thread_priority(a);
         let s = dag.first_vertex(a);
         let t = dag.last_vertex(a);
+        let (anc_s, anc_t, below) = (reach.ancestors(s), reach.ancestors(t), facts.below(rho));
         // First bullet: every strong ancestor of t that is not an ancestor of
-        // s has priority ⪰ ρ.
-        for u in dag.vertices() {
-            if reach.is_strong_ancestor(u, t)
-                && !reach.is_ancestor(u, s)
-                && !dom.leq(rho, dag.priority_of(u))
-            {
+        // s has priority ⪰ ρ.  Ancestors of t outside anc(s) whose priority
+        // is not ⪰ ρ violate it unless some path to t is weak.
+        let flagged = (0..anc_t.len()).map(|w| anc_t[w] & !anc_s[w] & below[w]);
+        for u in ones(flagged) {
+            if !reach.is_weak_ancestor(u, t) {
                 errors.push(WellFormedError::LowPriorityStrongAncestor {
                     thread: a,
                     vertex: u,
@@ -117,7 +140,7 @@ pub fn check_well_formed_with(
         }
         // Second bullet: strong edges (u0, u) with u ⊒ˢ t, u0 ⋣ s and
         // Prio(u) ⪯̸ Prio(u0) must have a weak-path witness u′ with
-        // u0 ⊒ʷ u′ ⊒ˢ t and u ⋣ u′.
+        // u0 ⊒ʷ u′ ⊒ˢ t and u ⋣ u′.  Only the inverting edges can qualify.
         //
         // We additionally require that u0 is strictly lower priority than the
         // thread itself (¬(ρ ⪯ Prio(u0))).  Without this guard the literal
@@ -127,18 +150,11 @@ pub fn check_well_formed_with(
         // a never waits on anything below its own priority), contradicting
         // Lemma 3.4.  The guard restricts the bullet to the genuine inversion
         // risk the paper motivates it with.
-        for e in dag.strong_edges() {
-            let (u0, u) = (e.from, e.to);
-            if reach.is_strong_ancestor(u, t)
-                && !reach.is_ancestor(u0, s)
-                && !dom.leq(dag.priority_of(u), dag.priority_of(u0))
-                && !dom.leq(rho, dag.priority_of(u0))
-            {
-                let witnessed = dag.vertices().any(|u_prime| {
-                    reach.is_weak_ancestor(u0, u_prime)
-                        && reach.is_strong_ancestor(u_prime, t)
-                        && !reach.is_ancestor(u, u_prime)
-                });
+        for &(u0, u) in facts.inverting() {
+            if reach.is_strong_ancestor(u, t) && !has(anc_s, u0) && has(below, u0) {
+                let (weak_u0, desc_u) = (reach.weak_descendants(u0), reach.descendants(u));
+                let candidates = (0..anc_t.len()).map(|w| weak_u0[w] & anc_t[w] & !desc_u[w]);
+                let witnessed = ones(candidates).any(|u_prime| !reach.is_weak_ancestor(u_prime, t));
                 if !witnessed {
                     errors.push(WellFormedError::UnmitigatedCreateEdge {
                         thread: a,
@@ -149,11 +165,7 @@ pub fn check_well_formed_with(
             }
         }
     }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
+    errors
 }
 
 /// Checks Definition 4 (strong well-formedness) and returns every violation.
@@ -282,10 +294,60 @@ pub fn lemma_3_4_holds(dag: &CostDag) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::build::DagBuilder;
     use rp_priority::PriorityDomain;
+
+    /// Definition 1 checked vertex by vertex and edge by edge through pair
+    /// lookups, as before the row operations: the reference
+    /// [`well_formed_errors`] must agree with, error for error and in the
+    /// same order.
+    pub(crate) fn well_formed_errors_by_vertex(
+        dag: &CostDag,
+        reach: &Reachability,
+    ) -> Vec<WellFormedError> {
+        let dom = dag.domain();
+        let mut errors = Vec::new();
+        for a in dag.threads() {
+            let rho = dag.thread_priority(a);
+            let s = dag.first_vertex(a);
+            let t = dag.last_vertex(a);
+            for u in dag.vertices() {
+                if reach.is_strong_ancestor(u, t)
+                    && !reach.is_ancestor(u, s)
+                    && !dom.leq(rho, dag.priority_of(u))
+                {
+                    errors.push(WellFormedError::LowPriorityStrongAncestor {
+                        thread: a,
+                        vertex: u,
+                    });
+                }
+            }
+            for e in dag.strong_edges() {
+                let (u0, u) = (e.from, e.to);
+                if reach.is_strong_ancestor(u, t)
+                    && !reach.is_ancestor(u0, s)
+                    && !dom.leq(dag.priority_of(u), dag.priority_of(u0))
+                    && !dom.leq(rho, dag.priority_of(u0))
+                {
+                    let witnessed = dag.vertices().any(|u_prime| {
+                        reach.is_weak_ancestor(u0, u_prime)
+                            && reach.is_strong_ancestor(u_prime, t)
+                            && !reach.is_ancestor(u, u_prime)
+                    });
+                    if !witnessed {
+                        errors.push(WellFormedError::UnmitigatedCreateEdge {
+                            thread: a,
+                            from: u0,
+                            to: u,
+                        });
+                    }
+                }
+            }
+        }
+        errors
+    }
 
     fn dom() -> PriorityDomain {
         PriorityDomain::total_order(["lo", "hi"]).unwrap()
@@ -415,24 +477,44 @@ mod tests {
     /// turns up somewhere in a few dozen seeds.  Every edge goes from a
     /// lower to a higher vertex id, so the graph is acyclic.
     fn lawless_dag(seed: u64) -> CostDag {
+        lawless(seed, None)
+    }
+
+    /// Like [`lawless_dag`], with `vertices` split over threads of one to
+    /// four vertices (so single-vertex threads, where `s = t`, are common)
+    /// and touches and weak edges in proportion, or the random small shape
+    /// when `None`.
+    fn lawless(seed: u64, vertices: Option<usize>) -> CostDag {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let d = PriorityDomain::numeric(3);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut b = DagBuilder::new(d.clone());
         let mut threads = Vec::new();
-        let mut vertices = Vec::new();
-        for i in 0..rng.gen_range(2..7) {
+        let mut all = Vec::new();
+        let (thread_count, extra) = match vertices {
+            None => (rng.gen_range(2..7), 0),
+            Some(n) => (usize::MAX, n / 8),
+        };
+        for i in 0..thread_count {
+            if vertices == Some(all.len()) {
+                break;
+            }
             let t = b.thread(format!("t{i}"), d.by_index(rng.gen_range(0..3)));
-            let vs = b.vertices(t, rng.gen_range(1..5));
+            let len: usize = rng.gen_range(1..5);
+            let vs = b.vertices(t, vertices.map_or(len, |n| len.min(n - all.len())));
             if i > 0 {
-                let creator = vertices[rng.gen_range(0..vertices.len())];
+                let creator = all[rng.gen_range(0..all.len())];
                 b.fcreate(creator, t).unwrap();
             }
             threads.push((t, vs[vs.len() - 1]));
-            vertices.extend(vs);
+            all.extend(vs);
         }
-        for _ in 0..rng.gen_range(0..5) {
+        let vertices = all;
+        if vertices.is_empty() {
+            return b.build().unwrap();
+        }
+        for _ in 0..rng.gen_range(0..5 + extra) {
             let (t, last) = threads[rng.gen_range(0..threads.len())];
             let later: Vec<VertexId> = vertices
                 .iter()
@@ -446,7 +528,7 @@ mod tests {
                 b.ftouch(t, toucher).unwrap();
             }
         }
-        for _ in 0..rng.gen_range(0..4) {
+        for _ in 0..rng.gen_range(0..4 + extra) {
             let (i, j) = (
                 rng.gen_range(0..vertices.len()),
                 rng.gen_range(0..vertices.len()),
@@ -460,8 +542,10 @@ mod tests {
 
     /// The graphs the equivalence tests run over: this module's and
     /// [`crate::examples`]'s hand-built graphs, seeded well-formed
-    /// [`crate::random::sized_dag`] graphs and seeded lawless ones.
-    fn corpus() -> Vec<CostDag> {
+    /// [`crate::random::sized_dag`] graphs, seeded lawless ones, and lawless
+    /// ones of 0, 1, 63, 64, 65 and 130 vertices, where a bit row's last
+    /// word is empty, partial or full.
+    pub(crate) fn corpus() -> Vec<CostDag> {
         use crate::examples::{figure1a, figure1b, figure1c, figure2a, figure2b, figure3};
         let mut graphs = vec![
             fig2a(),
@@ -475,7 +559,45 @@ mod tests {
         graphs.extend([figure2a, figure2b, figure3].map(|f| f().0));
         graphs.extend((0..12).map(|seed| crate::random::sized_dag(seed, 10, 4, 3)));
         graphs.extend((0..60).map(lawless_dag));
+        for n in [0, 1, 63, 64, 65, 130] {
+            graphs.extend((0..4).map(|seed| lawless(seed, Some(n))));
+        }
         graphs
+    }
+
+    #[test]
+    fn row_operations_give_the_vertex_by_vertex_verdicts() {
+        let mut kinds = [0usize; 2];
+        for (i, g) in corpus().iter().enumerate() {
+            let reach = Reachability::new(g);
+            let rows = errors(check_well_formed_with(g, &reach));
+            assert_eq!(rows, well_formed_errors_by_vertex(g, &reach), "graph {i}");
+            for e in &rows {
+                match e {
+                    WellFormedError::LowPriorityStrongAncestor { .. } => kinds[0] += 1,
+                    WellFormedError::UnmitigatedCreateEdge { .. } => kinds[1] += 1,
+                    other => panic!("graph {i}: Definition 1 reported {other}"),
+                }
+            }
+        }
+        assert!(
+            kinds.iter().all(|&n| n >= 10),
+            "the corpus must exercise both bullets: {kinds:?}"
+        );
+    }
+
+    #[test]
+    fn the_corpus_has_word_tails_and_single_vertex_threads() {
+        let graphs = corpus();
+        for n in [0, 1, 63, 64, 65] {
+            assert!(
+                graphs.iter().any(|g| g.vertex_count() == n),
+                "no graph of {n} vertices"
+            );
+        }
+        assert!(graphs
+            .iter()
+            .any(|g| g.threads().any(|a| g.first_vertex(a) == g.last_vertex(a))));
     }
 
     /// Definition 4 with reachability answered by a depth-first search per

@@ -32,7 +32,9 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy)]
 pub struct MutationTarget {
     /// Short module label (`scheduler`, `schedule`, `solver`, `tracer`,
-    /// `bound`, `wellformed`, `pool`, `subst`).
+    /// `bound`, `wellformed`, `pool`, `subst`).  A module whose code spans
+    /// several files has one entry per file, each with its own share of
+    /// the campaign's mutants.
     pub module: &'static str,
     /// Cargo package the file belongs to.
     pub package: &'static str,
@@ -49,10 +51,12 @@ pub struct MutationTarget {
 /// The eight hot paths under test: the bucketed prompt scheduler, the
 /// promptness check, the priority-constraint solver, the trace
 /// reconstructor's schedule builder, the Theorem 2.3 bound check (with the
-/// per-thread metrics), the Definition 1 and 4 well-formedness checks, the
-/// runtime's push / help-pop / park paths, and the λ⁴ᵢ substitution both
-/// back ends run at every step (in place, copy on write for shared
-/// commands, skipped when the variable is not free).
+/// per-thread metrics: the masked competitor-work count, the ancestor-row
+/// fill and the per-level priority rows), the Definition 1 and 4
+/// well-formedness checks (with the priority-inverting edge filter and the
+/// priority rows), the runtime's push / help-pop / park paths, and the λ⁴ᵢ
+/// substitution both back ends run at every step (in place, copy on write
+/// for shared commands, skipped when the variable is not free).
 pub const TARGETS: &[MutationTarget] = &[
     MutationTarget {
         module: "scheduler",
@@ -95,6 +99,23 @@ pub const TARGETS: &[MutationTarget] = &[
         ],
     },
     MutationTarget {
+        module: "bound",
+        package: "rp-core",
+        file: "crates/core/src/metrics.rs",
+        test_filter: "bound::tests",
+        functions: &[("competitor_work_in", Some("0"))],
+    },
+    MutationTarget {
+        module: "bound",
+        package: "rp-core",
+        file: "crates/core/src/analysis.rs",
+        test_filter: "bound::tests",
+        functions: &[
+            ("ancestor_rows", Some("BitMatrix::new(dag.vertex_count())")),
+            ("vertex_row", None),
+        ],
+    },
+    MutationTarget {
         module: "wellformed",
         package: "rp-core",
         file: "crates/core/src/wellformed.rs",
@@ -103,6 +124,17 @@ pub const TARGETS: &[MutationTarget] = &[
             ("check_well_formed_with", Some("Ok(())")),
             ("check_strongly_well_formed_with", Some("Ok(())")),
             ("continuation_bracketed_path_exists", Some("true")),
+            ("well_formed_errors", Some("Vec::new()")),
+        ],
+    },
+    MutationTarget {
+        module: "wellformed",
+        package: "rp-core",
+        file: "crates/core/src/analysis.rs",
+        test_filter: "wellformed::tests",
+        functions: &[
+            ("inverting_edges", Some("Vec::new()")),
+            ("vertex_row", None),
         ],
     },
     MutationTarget {

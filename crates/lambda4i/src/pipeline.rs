@@ -168,7 +168,7 @@ pub fn run_inferred(
         None => None,
     };
     let (observed, replay) = match &reconstruction {
-        Some(run) => (run.check_observed(), run.check_replay(runtime.workers)),
+        Some(run) => run.check_observed_and_replay(runtime.workers),
         None => (Vec::new(), Vec::new()),
     };
     Ok(PipelineReport {
@@ -398,8 +398,32 @@ main @ fg:
         assert_eq!(report.counterexamples(), 0);
     }
 
+    /// The schedule explorer's verdict on a program: whether it races, and,
+    /// when the exploration completes within its budget, every value the
+    /// program can produce.
+    struct Oracle {
+        racy: bool,
+        values: Option<Vec<Expr>>,
+    }
+
+    fn explore(prog: &Program) -> Oracle {
+        use crate::explore::{explore_program, ExploreConfig};
+        let config = ExploreConfig {
+            max_schedules: 100,
+            check_bounds: false,
+            ..ExploreConfig::default()
+        };
+        let report = explore_program(prog, &config).expect("the explorer runs every program");
+        Oracle {
+            racy: report.racy(),
+            values: report
+                .complete
+                .then(|| report.outcomes.iter().map(|o| o.value.clone()).collect()),
+        }
+    }
+
     /// What a runtime run must reproduce whether its runtime is new or
-    /// reused.  The value is left out for the known-racy fixtures.
+    /// reused.  The value is left out for programs the explorer finds racy.
     #[derive(Debug, PartialEq)]
     struct RuntimeSummary {
         value: Option<Expr>,
@@ -409,9 +433,10 @@ main @ fg:
         thread_levels: Vec<usize>,
     }
 
-    /// Runs `prog` on the calling thread's runtime of its shape and checks
-    /// the trace for Theorem 2.3 counterexamples on both schedules.
-    fn summarize(label: &str, prog: &Program, racy: bool) -> RuntimeSummary {
+    /// Runs `prog` on the calling thread's runtime of its shape, checks
+    /// the trace for Theorem 2.3 counterexamples on both schedules, and
+    /// checks the value against the explorer's outcomes when it has them.
+    fn summarize(label: &str, prog: &Program, oracle: &Oracle) -> RuntimeSummary {
         let out = compile_and_run(prog, &CompileConfig::default())
             .unwrap_or_else(|e| panic!("{label}: {e}"));
         let run = out
@@ -421,12 +446,16 @@ main @ fg:
             .reconstruct()
             .unwrap_or_else(|e| panic!("{label}: {e}"));
         assert_eq!(run.skipped, 0, "{label}");
-        for r in run
-            .check_observed()
-            .iter()
-            .chain(&run.check_replay(out.workers))
-        {
+        let (observed, replay) = run.check_observed_and_replay(out.workers);
+        for r in observed.iter().chain(&replay) {
             assert!(!r.report.is_counterexample(), "{label}: {r:?}");
+        }
+        if let Some(values) = &oracle.values {
+            assert!(
+                values.contains(&out.value),
+                "{label}: the runtime's value {:?} is not among the explorer's {values:?}",
+                out.value
+            );
         }
         let mut thread_levels: Vec<usize> = run
             .dag
@@ -435,7 +464,7 @@ main @ fg:
             .collect();
         thread_levels.sort_unstable();
         RuntimeSummary {
-            value: (!racy).then_some(out.value),
+            value: (!oracle.racy).then_some(out.value),
             threads_spawned: out.threads_spawned,
             level_names: out.level_names,
             thread_levels,
@@ -445,7 +474,8 @@ main @ fg:
     /// Differential test of runtime reuse: every fixture and 200 generated
     /// programs, each run once on a runtime of its own (a new thread) and
     /// once back to back with all the others on one thread, agree on
-    /// value, threads, level names and reconstructed thread priorities.
+    /// threads, level names, reconstructed thread priorities and, for the
+    /// programs the explorer finds race-free, value.
     #[test]
     fn pooled_runtimes_match_fresh_runtimes() {
         use crate::generate::{random_program, GenConfig};
@@ -454,31 +484,28 @@ main @ fg:
             free_prio_probability: 0.4,
             ..GenConfig::default()
         };
-        let mut programs: Vec<(String, Program, bool)> = sources::all()
+        let mut programs: Vec<(String, Program)> = sources::all()
             .into_iter()
             .map(|(name, src, _)| {
                 let prog = parse_program(src).unwrap();
-                let racy = matches!(name, "figure1" | "racy-counter");
-                (
-                    name.to_string(),
-                    infer_program(&prog).unwrap().program,
-                    racy,
-                )
+                (name.to_string(), infer_program(&prog).unwrap().program)
             })
             .collect();
         programs.extend((0..200u64).map(|seed| {
             let prog = infer_program(&random_program(seed, &gen)).unwrap().program;
-            (format!("seed {seed}"), prog, false)
+            (format!("seed {seed}"), prog)
         }));
+        let oracles: Vec<Oracle> = programs.iter().map(|(_, prog)| explore(prog)).collect();
         let fresh: Vec<RuntimeSummary> = programs
             .iter()
-            .map(|(label, prog, racy)| {
-                std::thread::scope(|s| s.spawn(|| summarize(label, prog, *racy)).join())
+            .zip(&oracles)
+            .map(|((label, prog), oracle)| {
+                std::thread::scope(|s| s.spawn(|| summarize(label, prog, oracle)).join())
                     .unwrap_or_else(|_| panic!("{label}: fresh run panicked"))
             })
             .collect();
-        for ((label, prog, racy), fresh) in programs.iter().zip(&fresh) {
-            assert_eq!(&summarize(label, prog, *racy), fresh, "{label}");
+        for (((label, prog), oracle), fresh) in programs.iter().zip(&oracles).zip(&fresh) {
+            assert_eq!(&summarize(label, prog, oracle), fresh, "{label}");
         }
     }
 

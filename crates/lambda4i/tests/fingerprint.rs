@@ -11,14 +11,16 @@
 //!
 //! The same test checks that neither back end writes through the program it
 //! was given (the `Program` compares equal to an independently built copy
-//! after both runs) and that the runtime's value equals the machine's on
-//! every race-free program.
+//! after both runs), that the runtime's value equals the machine's on every
+//! program the schedule explorer finds race-free, and that it is one of the
+//! explorer's outcomes wherever the exploration completes.
 
 use rp_lambda4i::compile::{compile_and_run, CompileConfig};
+use rp_lambda4i::explore::{explore_program, ExploreConfig};
 use rp_lambda4i::progs;
 use rp_lambda4i::run::{run_program, RunConfig, RunResult};
 use rp_lambda4i::syntax::dsl::*;
-use rp_lambda4i::syntax::{Cmd, Program, Type};
+use rp_lambda4i::syntax::{Cmd, Expr, Program, Type};
 use rp_priority::PriorityDomain;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -71,58 +73,57 @@ fn fork_join(k: usize, w: u64) -> Program {
     }
 }
 
-/// One case: a label, a builder (called twice, so the copy used as the
-/// reference shares nothing with the copy that runs) and whether the
-/// program's value may depend on the schedule.
-type Case = (String, Box<dyn Fn() -> Program>, bool);
+/// One case: a label and a builder (called twice, so the copy used as the
+/// reference shares nothing with the copy that runs).
+type Case = (String, Box<dyn Fn() -> Program>);
+
+/// The schedule explorer's verdict on a program: whether it races, and,
+/// when the exploration completes within its budget, every value the
+/// program can produce.
+fn explore(prog: &Program) -> (bool, Option<Vec<Expr>>) {
+    let config = ExploreConfig {
+        max_schedules: 100,
+        check_bounds: false,
+        ..ExploreConfig::default()
+    };
+    let report = explore_program(prog, &config).expect("the explorer runs every case");
+    let values = report
+        .complete
+        .then(|| report.outcomes.iter().map(|o| o.value.clone()).collect());
+    (report.racy(), values)
+}
 
 fn cases() -> Vec<Case> {
     let mut out: Vec<Case> = Vec::new();
     for n in 4..=6 {
-        out.push((
-            format!("fib-{n}"),
-            Box::new(move || progs::parallel_fib(n)),
-            false,
-        ));
+        out.push((format!("fib-{n}"), Box::new(move || progs::parallel_fib(n))));
     }
     for (r, b) in [(2, 1), (3, 2), (4, 3)] {
         out.push((
             format!("server-{r}-{b}"),
             Box::new(move || progs::server_with_background(r, b)),
-            false,
         ));
     }
     for (k, w) in [(4, 4), (6, 8), (8, 12)] {
         out.push((
             format!("fork-join-{k}-{w}"),
             Box::new(move || fork_join(k, w)),
-            false,
         ));
     }
     for i in 0..progs::case_studies().len() {
         out.push((
             format!("case-study-{i}"),
             Box::new(move || progs::case_studies().swap_remove(i)),
-            false,
         ));
     }
-    out.push(("figure1".into(), Box::new(progs::figure1_program), true));
+    out.push(("figure1".into(), Box::new(progs::figure1_program)));
     out.push((
         "email-coordination".into(),
         Box::new(progs::email_coordination_program),
-        false,
     ));
-    out.push((
-        "racy-counter".into(),
-        Box::new(progs::racy_counter_program),
-        true,
-    ));
-    out.push((
-        "cas-counter".into(),
-        Box::new(progs::cas_counter_program),
-        false,
-    ));
-    out.push(("handoff".into(), Box::new(progs::handoff_program), false));
+    out.push(("racy-counter".into(), Box::new(progs::racy_counter_program)));
+    out.push(("cas-counter".into(), Box::new(progs::cas_counter_program)));
+    out.push(("handoff".into(), Box::new(progs::handoff_program)));
     out
 }
 
@@ -152,7 +153,7 @@ fn describe(r: &RunResult) -> String {
 fn golden_fingerprint_of_both_back_ends() {
     let mut listing = String::new();
     let mut all = String::new();
-    for (label, build, racy) in cases() {
+    for (label, build) in cases() {
         let prog = build();
         let reference = build();
         let mut machine_value = None;
@@ -174,11 +175,19 @@ fn golden_fingerprint_of_both_back_ends() {
         }
         let runtime = compile_and_run(&prog, &CompileConfig::default())
             .unwrap_or_else(|e| panic!("{label} on the runtime: {e}"));
+        let (racy, values) = explore(&prog);
         if !racy {
             assert_eq!(
                 Some(&runtime.value),
                 machine_value.as_ref(),
                 "{label}: runtime and machine disagree"
+            );
+        }
+        if let Some(values) = values {
+            assert!(
+                values.contains(&runtime.value),
+                "{label}: the runtime's value {:?} is not among the explorer's {values:?}",
+                runtime.value
             );
         }
         assert_eq!(
