@@ -73,6 +73,9 @@ pub struct DagBuilder {
     threads: Vec<ThreadInfo>,
     vertices: Vec<VertexInfo>,
     create_edges: Vec<(VertexId, ThreadId)>,
+    /// Per-thread creating vertex, so a second fcreate of a thread is
+    /// caught without scanning `create_edges`.
+    creator: Vec<Option<VertexId>>,
     touch_edges: Vec<(ThreadId, VertexId)>,
     weak_edges: Vec<(VertexId, VertexId)>,
     errors: Vec<DagBuildError>,
@@ -86,6 +89,7 @@ impl DagBuilder {
             threads: Vec::new(),
             vertices: Vec::new(),
             create_edges: Vec::new(),
+            creator: Vec::new(),
             touch_edges: Vec::new(),
             weak_edges: Vec::new(),
             errors: Vec::new(),
@@ -100,6 +104,7 @@ impl DagBuilder {
             priority,
             vertices: Vec::new(),
         });
+        self.creator.push(None);
         id
     }
 
@@ -109,7 +114,7 @@ impl DagBuilder {
     ///
     /// Panics if `t` does not belong to this builder.
     pub fn vertex(&mut self, t: ThreadId) -> VertexId {
-        self.vertex_labeled(t, None::<&str>)
+        self.vertex_labeled(t, None)
     }
 
     /// Appends a labeled vertex to a thread's sequence.
@@ -117,14 +122,14 @@ impl DagBuilder {
     /// # Panics
     ///
     /// Panics if `t` does not belong to this builder.
-    pub fn vertex_labeled(&mut self, t: ThreadId, label: Option<impl Into<String>>) -> VertexId {
+    pub fn vertex_labeled(&mut self, t: ThreadId, label: Option<&'static str>) -> VertexId {
         assert!(t.index() < self.threads.len(), "unknown thread {t}");
         let id = VertexId(self.vertices.len() as u32);
         let position = self.threads[t.index()].vertices.len();
         self.vertices.push(VertexInfo {
             thread: t,
             position,
-            label: label.map(Into::into),
+            label,
         });
         self.threads[t.index()].vertices.push(id);
         id
@@ -149,11 +154,12 @@ impl DagBuilder {
                 self.threads[created.index()].name.clone(),
             ));
         }
-        if self.create_edges.iter().any(|(_, t)| *t == created) {
+        if self.creator[created.index()].is_some() {
             return Err(DagBuildError::DuplicateCreate(
                 self.threads[created.index()].name.clone(),
             ));
         }
+        self.creator[created.index()] = Some(creator);
         self.create_edges.push((creator, created));
         Ok(())
     }
@@ -222,7 +228,12 @@ impl DagBuilder {
                 return Err(DagBuildError::EmptyThread(t.name.clone()));
             }
         }
-        let mut edges = Vec::new();
+        let mut edges = Vec::with_capacity(
+            self.vertices.len() - self.threads.len()
+                + self.create_edges.len()
+                + self.touch_edges.len()
+                + self.weak_edges.len(),
+        );
         // Continuation edges.
         for t in &self.threads {
             for w in t.vertices.windows(2) {
@@ -256,16 +267,7 @@ impl DagBuilder {
                 kind: EdgeKind::Weak,
             });
         }
-        let index = crate::csr::CsrIndex::build(
-            self.vertices.len(),
-            self.threads
-                .iter()
-                .enumerate()
-                .map(|(i, t)| (t.name.clone(), i as u32)),
-            &edges,
-            &self.create_edges,
-            self.threads.len(),
-        );
+        let index = crate::csr::CsrIndex::build(self.vertices.len(), &edges, self.creator);
         let dag = CostDag {
             domain: self.domain,
             threads: self.threads,

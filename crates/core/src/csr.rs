@@ -6,8 +6,8 @@
 //! list — `O(E)` per call and an allocation per parent query — which made
 //! the schedulers and analyses quadratic on large graphs.  [`CsrIndex`] is
 //! built once by [`DagBuilder::build`](crate::build::DagBuilder::build) and
-//! cached on the graph: flat `offsets`/`targets` arrays per relation, an
-//! `O(1)` creator table, and a name→thread map.  Queries become slice reads.
+//! cached on the graph: flat `offsets`/`targets` arrays per relation and an
+//! `O(1)` creator table.  Queries become slice reads.
 //!
 //! Buckets preserve the original edge-list order (the construction is a
 //! stable counting sort), so iteration order is byte-identical to the old
@@ -15,7 +15,6 @@
 //! are unchanged.
 
 use crate::graph::{Edge, ThreadId, VertexId};
-use std::collections::HashMap;
 
 /// One direction of a CSR over the full edge list: `edges[offsets[v] ..
 /// offsets[v + 1]]` are the edges incident to `v` on that side.
@@ -124,25 +123,18 @@ pub struct CsrIndex {
     weak_in: VertexCsr,
     /// Per-thread creating vertex (`None` for root threads).
     creator: Vec<Option<VertexId>>,
-    /// Thread name → thread index.
-    thread_by_name: HashMap<String, u32>,
 }
 
 impl CsrIndex {
-    /// Builds the index from the graph's raw parts.
+    /// Builds the index from the graph's edges and per-thread creator
+    /// table.
     pub(crate) fn build(
         vertex_count: usize,
-        thread_names: impl Iterator<Item = (String, u32)>,
         edges: &[Edge],
-        create_edges: &[(VertexId, ThreadId)],
-        thread_count: usize,
+        creator: Vec<Option<VertexId>>,
     ) -> Self {
         let n = vertex_count;
         let strong = |e: &Edge| e.kind.is_strong();
-        let mut creator = vec![None; thread_count];
-        for &(v, t) in create_edges {
-            creator[t.index()] = Some(v);
-        }
         CsrIndex {
             out: EdgeCsr::build(n, edges, |e| e.from.index()),
             inc: EdgeCsr::build(n, edges, |e| e.to.index()),
@@ -153,7 +145,6 @@ impl CsrIndex {
             }),
             weak_in: VertexCsr::build(n, edges, |e| (!strong(e)).then_some((e.to.index(), e.from))),
             creator,
-            thread_by_name: thread_names.collect(),
         }
     }
 
@@ -203,12 +194,6 @@ impl CsrIndex {
     #[inline]
     pub fn creator_of(&self, t: ThreadId) -> Option<VertexId> {
         self.creator[t.index()]
-    }
-
-    /// Thread lookup by name.
-    #[inline]
-    pub fn thread_by_name(&self, name: &str) -> Option<ThreadId> {
-        self.thread_by_name.get(name).map(|&i| ThreadId(i))
     }
 }
 
@@ -269,12 +254,11 @@ mod tests {
     }
 
     #[test]
-    fn creator_table_and_name_map() {
+    fn creator_table() {
         let g = sample();
-        let main = g.thread_by_name("main").unwrap();
-        let child = g.thread_by_name("child").unwrap();
+        let [main, child] = [ThreadId(0), ThreadId(1)];
         assert_eq!(g.creator_of(main), None);
         assert_eq!(g.creator_of(child), Some(g.first_vertex(main)));
-        assert!(g.thread_by_name("nope").is_none());
+        assert_eq!(g.create_edges(), [(g.first_vertex(main), child)]);
     }
 }

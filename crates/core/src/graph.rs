@@ -89,8 +89,9 @@ pub struct VertexInfo {
     pub thread: ThreadId,
     /// The position of this vertex within its thread's sequence.
     pub position: usize,
-    /// Optional label for rendering/debugging (e.g. a source line).
-    pub label: Option<String>,
+    /// Optional label for rendering/debugging (e.g. a source line).  Labels
+    /// are static strings, so a labelled vertex costs no allocation.
+    pub label: Option<&'static str>,
 }
 
 /// A cost graph `g = (T, Ec, Et, Ew)` over a fixed priority domain.
@@ -204,9 +205,13 @@ impl CostDag {
             .expect("threads have at least one vertex")
     }
 
-    /// Looks up a thread by name in `O(1)` via the cached name map.
+    /// Looks up a thread by name: a scan of the threads, so `O(T)`.  When
+    /// several threads share the name, the one declared last wins.
     pub fn thread_by_name(&self, name: &str) -> Option<ThreadId> {
-        self.index.thread_by_name(name)
+        self.threads
+            .iter()
+            .rposition(|t| t.name == name)
+            .map(|i| ThreadId(i as u32))
     }
 
     /// All edges (continuation, fcreate, ftouch, weak).
@@ -287,8 +292,8 @@ impl CostDag {
     }
 
     /// The label attached to a vertex, if any.
-    pub fn label(&self, v: VertexId) -> Option<&str> {
-        self.vertices[v.index()].label.as_deref()
+    pub fn label(&self, v: VertexId) -> Option<&'static str> {
+        self.vertices[v.index()].label
     }
 }
 
@@ -354,6 +359,47 @@ mod tests {
         let dom = d.domain().clone();
         assert!(dom.lt(d.thread_priority(child), d.thread_priority(main)));
         assert_eq!(d.priority_of(d.first_vertex(main)), d.thread_priority(main));
+    }
+
+    #[test]
+    fn thread_by_name_finds_each_thread() {
+        let d = tiny();
+        for t in d.threads() {
+            assert_eq!(d.thread_by_name(&d.thread(t).name), Some(t));
+        }
+        assert_eq!(d.thread_by_name("nope"), None);
+        assert_eq!(d.thread_by_name(""), None);
+    }
+
+    /// Names need not be unique; a lookup answers with the thread declared
+    /// last, as a name → thread map filled in declaration order would.
+    #[test]
+    fn duplicated_thread_name_resolves_to_the_last_declared() {
+        let dom = PriorityDomain::numeric(2);
+        let mut b = DagBuilder::new(dom.clone());
+        let first = b.thread("dup", dom.by_index(0));
+        let other = b.thread("other", dom.by_index(1));
+        let last = b.thread("dup", dom.by_index(1));
+        for t in [first, other, last] {
+            b.vertex(t);
+        }
+        let d = b.build().unwrap();
+        assert_eq!(d.thread_by_name("dup"), Some(last));
+        assert_ne!(d.thread_by_name("dup"), Some(first));
+        assert_eq!(d.thread_by_name("other"), Some(other));
+    }
+
+    #[test]
+    fn labels_are_kept_per_vertex() {
+        let dom = PriorityDomain::single();
+        let mut b = DagBuilder::new(dom.clone());
+        let t = b.thread("main", dom.by_index(0));
+        let plain = b.vertex(t);
+        let labelled = b.vertex_labeled(t, Some("ret"));
+        let d = b.build().unwrap();
+        assert_eq!(d.label(plain), None);
+        assert_eq!(d.label(labelled), Some("ret"));
+        assert_eq!(d.vertex(labelled).label, Some("ret"));
     }
 
     #[test]

@@ -37,10 +37,11 @@
 //! refreshes from them instead of re-sorting full snapshots.
 
 use crate::trace::{
-    assemble, trace_domain, Action, ActionKind, ReconstructedRun, TaskKey, TaskRecord,
-    TraceBoundReport, TraceError, TraceEvent,
+    assemble, trace_domain, Action, ActionKind, Member, ReconstructedRun, Slot, TaskKey,
+    TaskRecord, TraceBoundReport, TraceError, TraceEvent,
 };
 use rp_priority::PriorityDomain;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Configuration of an [`IncrementalReconstructor`].
@@ -228,26 +229,44 @@ pub struct StreamCounters {
     pub epoch: u64,
 }
 
-/// The state of one live weakly-connected component.
-#[derive(Debug)]
+/// The state of one live weakly-connected component, kept in its root's
+/// slot.
+#[derive(Debug, Default)]
 struct Component {
-    /// Member task keys (unordered; sorted by arrival at retirement).
-    members: Vec<TaskKey>,
+    /// Member slots (unordered; sorted by arrival at retirement).
+    members: Vec<Slot>,
     /// Members that have not both started and finished yet.
     incomplete: usize,
     /// The epoch at which `incomplete` last reached zero.
     completed_epoch: Option<u64>,
+    /// The earliest arrival among the members: the component's place in
+    /// retirement order.
+    first_arrival: u64,
 }
 
-/// One live task: its accumulating record plus a commit-order arrival stamp
-/// (used to reproduce the post-hoc first-appearance ordering exactly).
+/// One entry of the task table.  A slot is live from its task's first
+/// declaration until the task's component retires; it then goes on the
+/// free list, and the next task declared reuses it together with its
+/// buffers.
 #[derive(Debug)]
-struct LiveTask {
+struct TaskSlot {
+    key: TaskKey,
     record: TaskRecord,
+    /// Commit-order arrival stamp (reproduces the post-hoc first-appearance
+    /// ordering exactly).
     arrival: u64,
-    /// Union-find slot of this task (index into the reconstructor's
-    /// ever-growing id space is avoided: slots are per-task keys).
-    root_hint: TaskKey,
+    /// Union-find parent slot; a component's root is its own parent.
+    parent: Slot,
+    /// The component this slot roots; meaningful only while it is a live
+    /// root.
+    component: Component,
+    live: bool,
+}
+
+impl TaskSlot {
+    fn is_live_root(&self, slot: usize) -> bool {
+        self.live && self.parent as usize == slot
+    }
 }
 
 enum Outcome {
@@ -290,8 +309,13 @@ pub struct IncrementalReconstructor {
     pending: Vec<TraceEvent>,
     /// Orphaned events with the epoch they were stashed at.
     orphans: Vec<(TraceEvent, u64)>,
-    tasks: HashMap<TaskKey, LiveTask>,
-    components: HashMap<TaskKey, Component>,
+    /// The task table, indexed by slot.
+    slots: Vec<TaskSlot>,
+    /// Slots whose component retired, ready for reuse.
+    free: Vec<Slot>,
+    /// The slot of every live task.
+    slot_of: HashMap<TaskKey, Slot>,
+    live_components: u64,
     ingested: u64,
     committed: u64,
     unresolved: u64,
@@ -318,8 +342,10 @@ impl IncrementalReconstructor {
             next_arrival: 0,
             pending: Vec::new(),
             orphans: Vec::new(),
-            tasks: HashMap::new(),
-            components: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            slot_of: HashMap::new(),
+            live_components: 0,
             ingested: 0,
             committed: 0,
             unresolved: 0,
@@ -400,15 +426,7 @@ impl IncrementalReconstructor {
         }
 
         // Retire everything, complete or not, in first-appearance order.
-        let mut roots: Vec<TaskKey> = self.components.keys().copied().collect();
-        roots.sort_by_key(|root| self.min_arrival(root));
-        let mut reports = Vec::new();
-        for root in roots {
-            if let Some(report) = self.retire(root)? {
-                reports.push(report);
-            }
-        }
-        Ok(reports)
+        self.retire_roots(|_| true)
     }
 
     /// The running totals over all retired subgraphs.
@@ -424,8 +442,8 @@ impl IncrementalReconstructor {
             pending_events: self.pending.len() as u64,
             orphan_events: self.orphans.len() as u64,
             unresolved_events: self.unresolved,
-            live_tasks: self.tasks.len() as u64,
-            live_components: self.components.len() as u64,
+            live_tasks: self.slot_of.len() as u64,
+            live_components: self.live_components,
             epoch: self.epoch,
         }
     }
@@ -472,9 +490,9 @@ impl IncrementalReconstructor {
     }
 
     /// Applies one event to the partial reconstruction, mirroring the
-    /// post-hoc passes 1a/1b/2 per event.  With `force`, an event that
-    /// still references an unknown task is resolved the way the post-hoc
-    /// path resolves a task absent from the whole log: spawns still declare
+    /// post-hoc passes per event.  With `force`, an event that still
+    /// references an unknown task is resolved the way the post-hoc path
+    /// resolves a task absent from the whole log: spawns still declare
     /// their task (without parent attribution), everything else is dropped
     /// and counted.
     fn apply(&mut self, ev: &TraceEvent, force: bool) -> Result<Outcome, TraceError> {
@@ -494,10 +512,10 @@ impl IncrementalReconstructor {
                 if level >= self.domain.len() {
                     return Err(TraceError::LevelOutOfRange { task, level });
                 }
-                let attribute = match parent {
-                    Some(p) if self.tasks.contains_key(&p) => Some(p),
-                    Some(_) if !force => return Ok(Outcome::Orphan),
-                    Some(_) => {
+                let attribute = match parent.map(|p| self.slot_of.get(&p).copied()) {
+                    Some(Some(p)) => Some(p),
+                    Some(None) if !force => return Ok(Outcome::Orphan),
+                    Some(None) => {
                         // The parent never appeared (lost spawn or retired
                         // component): declare the task parentless, loudly.
                         self.unresolved += 1;
@@ -506,34 +524,13 @@ impl IncrementalReconstructor {
                     None => None,
                 };
                 let is_io = matches!(ev, TraceEvent::IoSubmit { .. });
-                if !self.tasks.contains_key(&task) {
-                    let arrival = self.next_arrival;
-                    self.next_arrival += 1;
-                    self.tasks.insert(
-                        task,
-                        LiveTask {
-                            record: TaskRecord::new(level, is_io, at),
-                            arrival,
-                            root_hint: task,
-                        },
-                    );
-                    self.components.insert(
-                        task,
-                        Component {
-                            members: vec![task],
-                            incomplete: 1,
-                            completed_epoch: None,
-                        },
-                    );
-                }
+                let slot = self.declare(task, level, is_io, at);
                 if let Some(p) = attribute {
-                    if let Some(parent_task) = self.tasks.get_mut(&p) {
-                        parent_task.record.actions.push(Action {
-                            at,
-                            kind: ActionKind::SpawnChild(task),
-                        });
-                    }
-                    self.union(p, task);
+                    self.slots[p as usize].record.actions.push(Action {
+                        at,
+                        kind: ActionKind::SpawnChild(slot),
+                    });
+                    self.union(p, slot);
                 }
                 self.committed += 1;
                 Ok(Outcome::Applied)
@@ -551,21 +548,21 @@ impl IncrementalReconstructor {
                     self.committed += 1;
                     return Ok(Outcome::Applied);
                 };
-                if self.tasks.contains_key(&touched) && self.tasks.contains_key(&t) {
-                    if let Some(toucher_task) = self.tasks.get_mut(&t) {
-                        toucher_task.record.actions.push(Action {
+                match (self.slot_of.get(&touched), self.slot_of.get(&t)) {
+                    (Some(&touched), Some(&toucher)) => {
+                        self.slots[toucher as usize].record.actions.push(Action {
                             at,
                             kind: ActionKind::Touch(touched),
                         });
+                        self.union(toucher, touched);
+                        self.committed += 1;
+                        Ok(Outcome::Applied)
                     }
-                    self.union(t, touched);
-                    self.committed += 1;
-                    Ok(Outcome::Applied)
-                } else if force {
-                    self.unresolved += 1;
-                    Ok(Outcome::Applied)
-                } else {
-                    Ok(Outcome::Orphan)
+                    _ if force => {
+                        self.unresolved += 1;
+                        Ok(Outcome::Applied)
+                    }
+                    _ => Ok(Outcome::Orphan),
                 }
             }
             TraceEvent::Steal { .. } => {
@@ -574,6 +571,51 @@ impl IncrementalReconstructor {
                 Ok(Outcome::Applied)
             }
         }
+    }
+
+    /// The slot of `task`, declaring the task as its own one-member
+    /// component in a free (or new) slot if it is not live.
+    fn declare(&mut self, task: TaskKey, level: usize, is_io: bool, at: u64) -> Slot {
+        let entry = match self.slot_of.entry(task) {
+            Entry::Occupied(e) => return *e.get(),
+            Entry::Vacant(e) => e,
+        };
+        let arrival = self.next_arrival;
+        self.next_arrival += 1;
+        self.live_components += 1;
+        // A free slot lends its action and member buffers to the new task.
+        let (slot, mut actions, mut members) = match self.free.pop() {
+            Some(slot) => {
+                let old = &mut self.slots[slot as usize];
+                let actions = std::mem::take(&mut old.record.actions);
+                (slot, actions, std::mem::take(&mut old.component.members))
+            }
+            None => (self.slots.len() as Slot, Vec::new(), Vec::new()),
+        };
+        actions.clear();
+        members.clear();
+        members.push(slot);
+        let fresh = TaskSlot {
+            key: task,
+            record: TaskRecord {
+                actions,
+                ..TaskRecord::new(level, is_io, at)
+            },
+            arrival,
+            parent: slot,
+            component: Component {
+                members,
+                incomplete: 1,
+                completed_epoch: None,
+                first_arrival: arrival,
+            },
+            live: true,
+        };
+        match self.slots.get_mut(slot as usize) {
+            Some(reused) => *reused = fresh,
+            None => self.slots.push(fresh),
+        }
+        *entry.insert(slot)
     }
 
     /// Applies a Start/End/IoComplete span update, tracking completion
@@ -585,7 +627,7 @@ impl IncrementalReconstructor {
         finished: Option<u64>,
         force: bool,
     ) -> Result<Outcome, TraceError> {
-        let Some(live) = self.tasks.get_mut(&task) else {
+        let Some(&slot) = self.slot_of.get(&task) else {
             return if force {
                 self.unresolved += 1;
                 Ok(Outcome::Applied)
@@ -593,89 +635,95 @@ impl IncrementalReconstructor {
                 Ok(Outcome::Orphan)
             };
         };
-        let was_complete = live.record.is_complete();
+        let record = &mut self.slots[slot as usize].record;
+        let was_complete = record.is_complete();
         if let Some(at) = started {
-            live.record.started_at.get_or_insert(at);
+            record.started_at.get_or_insert(at);
         }
         if let Some(at) = finished {
-            live.record.finished_at.get_or_insert(at);
+            record.finished_at.get_or_insert(at);
         }
-        let now_complete = live.record.is_complete();
+        let now_complete = record.is_complete();
         self.committed += 1;
         if !was_complete && now_complete {
-            let root = self.find(task);
+            let root = self.find(slot);
             let epoch = self.epoch;
-            if let Some(component) = self.components.get_mut(&root) {
-                component.incomplete -= 1;
-                if component.incomplete == 0 {
-                    component.completed_epoch = Some(epoch);
-                }
+            let component = &mut self.slots[root as usize].component;
+            component.incomplete -= 1;
+            if component.incomplete == 0 {
+                component.completed_epoch = Some(epoch);
             }
         }
         Ok(Outcome::Applied)
     }
 
-    /// Union-find `find` over task keys, with path compression through the
-    /// per-task `root_hint`.
-    fn find(&mut self, task: TaskKey) -> TaskKey {
-        let mut path = Vec::new();
-        let mut current = task;
-        loop {
-            let hint = self.tasks[&current].root_hint;
-            if hint == current {
-                break;
-            }
-            path.push(current);
-            current = hint;
+    /// Union-find `find` over slots, with full path compression.
+    fn find(&mut self, slot: Slot) -> Slot {
+        let mut root = slot;
+        while self.slots[root as usize].parent != root {
+            root = self.slots[root as usize].parent;
         }
-        for k in path {
-            self.tasks.get_mut(&k).expect("task on path").root_hint = current;
+        let mut current = slot;
+        while current != root {
+            let next = self.slots[current as usize].parent;
+            self.slots[current as usize].parent = root;
+            current = next;
         }
-        current
+        root
     }
 
     /// Merges the components of `a` and `b` (union by member count),
     /// recomputing the merged completion epoch.
-    fn union(&mut self, a: TaskKey, b: TaskKey) {
+    fn union(&mut self, a: Slot, b: Slot) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
             return;
         }
-        let (big, small) =
-            if self.components[&ra].members.len() >= self.components[&rb].members.len() {
-                (ra, rb)
-            } else {
-                (rb, ra)
-            };
-        let absorbed = self.components.remove(&small).expect("small root exists");
-        self.tasks
-            .get_mut(&small)
-            .expect("small root task")
-            .root_hint = big;
+        let members = |root: Slot| self.slots[root as usize].component.members.len();
+        let (big, small) = if members(ra) >= members(rb) {
+            (ra, rb)
+        } else {
+            (rb, ra)
+        };
+        self.slots[small as usize].parent = big;
+        let absorbed = std::mem::take(&mut self.slots[small as usize].component);
         let epoch = self.epoch;
-        let target = self.components.get_mut(&big).expect("big root exists");
-        target.members.extend(absorbed.members);
+        let target = &mut self.slots[big as usize].component;
+        target.members.extend_from_slice(&absorbed.members);
         target.incomplete += absorbed.incomplete;
         target.completed_epoch = (target.incomplete == 0).then_some(epoch);
+        target.first_arrival = target.first_arrival.min(absorbed.first_arrival);
+        // Hand the absorbed member buffer back for the slot's next task.
+        self.slots[small as usize].component.members = absorbed.members;
+        self.live_components -= 1;
     }
 
     /// Retires every component whose grace period expired, in
     /// first-appearance order.
     fn retire_ready(&mut self) -> Result<Vec<SubgraphReport>, TraceError> {
-        let epoch = self.epoch;
-        let grace = self.grace;
-        let mut ready: Vec<TaskKey> = self
-            .components
+        let (epoch, grace) = (self.epoch, self.grace);
+        self.retire_roots(|c| {
+            c.completed_epoch
+                .is_some_and(|e| epoch.saturating_sub(e) >= grace)
+        })
+    }
+
+    /// Retires every live component that `ready` accepts, in
+    /// first-appearance order.
+    fn retire_roots(
+        &mut self,
+        ready: impl Fn(&Component) -> bool,
+    ) -> Result<Vec<SubgraphReport>, TraceError> {
+        let mut roots: Vec<(u64, Slot)> = self
+            .slots
             .iter()
-            .filter(|(_, c)| {
-                c.completed_epoch
-                    .is_some_and(|e| epoch.saturating_sub(e) >= grace)
-            })
-            .map(|(&root, _)| root)
+            .enumerate()
+            .filter(|&(slot, entry)| entry.is_live_root(slot) && ready(&entry.component))
+            .map(|(slot, entry)| (entry.component.first_arrival, slot as Slot))
             .collect();
-        ready.sort_by_key(|root| self.min_arrival(root));
+        roots.sort_unstable();
         let mut reports = Vec::new();
-        for root in ready {
+        for (_, root) in roots {
             if let Some(report) = self.retire(root)? {
                 reports.push(report);
             }
@@ -683,36 +731,31 @@ impl IncrementalReconstructor {
         Ok(reports)
     }
 
-    fn min_arrival(&self, root: &TaskKey) -> u64 {
-        self.components[root]
-            .members
-            .iter()
-            .map(|k| self.tasks[k].arrival)
-            .min()
-            .unwrap_or(u64::MAX)
-    }
-
     /// Retires one component: assembles its graph with the shared post-hoc
     /// code, checks Theorem 2.3, folds the verdicts into the aggregates,
-    /// and frees every member record.  Returns `None` for a component with
+    /// and frees every member slot.  Returns `None` for a component with
     /// no completed member (nothing to analyse — its tasks are only counted
     /// as skipped).
-    fn retire(&mut self, root: TaskKey) -> Result<Option<SubgraphReport>, TraceError> {
-        let component = self.components.remove(&root).expect("root exists");
-        let mut member_keys = component.members;
-        member_keys.sort_by_key(|k| self.tasks[k].arrival);
-        let report = {
-            let members: Vec<(TaskKey, &TaskRecord)> = member_keys
-                .iter()
-                .filter(|k| self.tasks[k].record.is_complete())
-                .map(|&k| (k, &self.tasks[&k].record))
-                .collect();
-            let skipped = member_keys.len() - members.len();
-            self.aggregates.skipped_tasks += skipped as u64;
-            if members.is_empty() {
-                None
-            } else {
-                let run = assemble(&self.domain, self.num_workers, &members, skipped, 0)?;
+    fn retire(&mut self, root: Slot) -> Result<Option<SubgraphReport>, TraceError> {
+        let mut member_slots = std::mem::take(&mut self.slots[root as usize].component.members);
+        member_slots.sort_unstable_by_key(|&s| self.slots[s as usize].arrival);
+        let members: Vec<Member<'_>> = member_slots
+            .iter()
+            .map(|&slot| {
+                let entry = &self.slots[slot as usize];
+                Member {
+                    key: entry.key,
+                    slot,
+                    record: &entry.record,
+                }
+            })
+            .filter(|m| m.record.is_complete())
+            .collect();
+        let skipped = member_slots.len() - members.len();
+        let report = if members.is_empty() {
+            Ok(None)
+        } else {
+            assemble(&self.domain, self.num_workers, &members, skipped, 0).map(|run| {
                 let (observed, replay) = run.check_observed_and_replay(self.num_workers);
                 Some(SubgraphReport {
                     run,
@@ -720,11 +763,18 @@ impl IncrementalReconstructor {
                     replay,
                     retired_at_epoch: self.epoch,
                 })
-            }
+            })
         };
-        for k in &member_keys {
-            self.tasks.remove(k);
+        self.aggregates.skipped_tasks += skipped as u64;
+        self.live_components -= 1;
+        for &slot in &member_slots {
+            let entry = &mut self.slots[slot as usize];
+            entry.live = false;
+            self.slot_of.remove(&entry.key);
+            self.free.push(slot);
         }
+        self.slots[root as usize].component.members = member_slots;
+        let report = report?;
         if let Some(report) = &report {
             self.aggregates.absorb(report);
         }
@@ -737,6 +787,11 @@ mod tests {
     use super::*;
     use crate::trace::ExecutionTrace;
     use TraceEvent::*;
+
+    /// Live tasks counted from the task table itself.
+    fn live_slots(recon: &IncrementalReconstructor) -> u64 {
+        recon.slots.iter().filter(|s| s.live).count() as u64
+    }
 
     fn config(levels: &[&str], workers: usize) -> StreamConfig {
         StreamConfig {
@@ -925,6 +980,61 @@ mod tests {
         assert_eq!(recon.counters().unresolved_events, 1);
     }
 
+    /// A union recomputes completion: a complete component merged into a
+    /// running one leaves it incomplete, and two complete components merge
+    /// into a complete one.
+    #[test]
+    fn union_recomputes_component_completion() {
+        let mut recon = IncrementalReconstructor::new(config(&["only"], 1)).unwrap();
+        let spawn = |task, at| Spawn {
+            task,
+            parent: None,
+            level: 0,
+            at,
+        };
+        let start = |task, at| Start {
+            task,
+            worker: 0,
+            at,
+        };
+        let touch = |toucher, touched, at| Touch {
+            toucher: Some(toucher),
+            touched,
+            at,
+        };
+        // Task 2 finishes on its own; task 1, still running, touches it.
+        let events = [
+            spawn(1, 0),
+            start(1, 1),
+            spawn(2, 2),
+            start(2, 3),
+            End { task: 2, at: 4 },
+            touch(1, 2, 5),
+        ];
+        assert!(recon.ingest(&events).unwrap().is_empty(), "task 1 runs");
+        assert_eq!(recon.counters().live_tasks, 2);
+        assert_eq!(recon.counters().live_components, 1);
+        let retired = recon.ingest(&[End { task: 1, at: 6 }]).unwrap();
+        assert_eq!(retired.len(), 1);
+        assert_eq!(retired[0].run.tasks.len(), 2);
+        assert_eq!(retired[0].run.skipped, 0);
+        // Tasks 3 and 4 both finish before a touch glues them together.
+        let events = [
+            spawn(3, 10),
+            start(3, 11),
+            End { task: 3, at: 12 },
+            spawn(4, 13),
+            start(4, 14),
+            End { task: 4, at: 15 },
+            touch(3, 4, 16),
+        ];
+        let retired = recon.ingest(&events).unwrap();
+        assert_eq!(retired.len(), 1, "the merged component is complete");
+        assert_eq!(retired[0].run.tasks.len(), 2);
+        assert_eq!(recon.counters().live_tasks, 0);
+        assert_eq!(recon.counters().live_components, 0);
+    }
+
     #[test]
     fn bad_level_is_reported() {
         let mut recon = IncrementalReconstructor::new(config(&["only"], 1)).unwrap();
@@ -1047,7 +1157,8 @@ mod tests {
     }
 
     /// Memory is bounded by in-flight work: under a constant stream of
-    /// completing requests, live task count plateaus.
+    /// completing requests, live task count plateaus, and the task table
+    /// stops growing because retired slots are reused.
     #[test]
     fn live_task_count_plateaus_under_constant_load() {
         let mut recon = IncrementalReconstructor::new(StreamConfig {
@@ -1056,6 +1167,7 @@ mod tests {
         })
         .unwrap();
         let mut max_live = 0;
+        let mut table_after_warmup = 0;
         for i in 0..200u64 {
             let base = 10 * i;
             let task = i + 1;
@@ -1074,9 +1186,20 @@ mod tests {
                 End { task, at: base + 2 },
             ];
             recon.ingest(&events).unwrap();
-            max_live = max_live.max(recon.counters().live_tasks);
+            let live = recon.counters().live_tasks;
+            assert_eq!(live, live_slots(&recon), "the gauge counts live tasks");
+            max_live = max_live.max(live);
+            if i == 10 {
+                table_after_warmup = recon.slots.len();
+            }
         }
         assert!(max_live <= 2, "live tasks plateau, got {max_live}");
+        assert!(table_after_warmup <= 3);
+        assert_eq!(
+            recon.slots.len(),
+            table_after_warmup,
+            "retired slots are reused"
+        );
         assert_eq!(recon.aggregates().retired_subgraphs, 199);
         let agg = recon.aggregates();
         assert!(agg.levels[0].span_fraction().unwrap() > 0.0);

@@ -47,6 +47,7 @@ use crate::graph::{CostDag, ThreadId, VertexId};
 use crate::schedule::Schedule;
 use crate::scheduler::weak_respecting_prompt_schedule;
 use rp_priority::PriorityDomain;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -313,6 +314,11 @@ impl ReconstructedRun {
     }
 }
 
+/// A task's dense index in a reconstructor's task table: first-appearance
+/// order on the post-hoc path, a reusable table slot on the streaming one.
+/// Actions name the task they spawn or touch by slot.
+pub(crate) type Slot = u32;
+
 /// Per-task accumulation while walking the event log.  Shared between the
 /// post-hoc passes below and the streaming reconstructor
 /// ([`crate::stream`]), so both paths assemble identical graphs.
@@ -347,8 +353,17 @@ impl TaskRecord {
 
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ActionKind {
-    SpawnChild(TaskKey),
-    Touch(TaskKey),
+    SpawnChild(Slot),
+    Touch(Slot),
+}
+
+impl ActionKind {
+    /// The slot of the spawned or touched task.
+    pub(crate) fn target(self) -> Slot {
+        match self {
+            ActionKind::SpawnChild(s) | ActionKind::Touch(s) => s,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -380,20 +395,17 @@ impl ExecutionTrace {
     /// event references an out-of-range level, or no task ever completed.
     pub fn reconstruct(&self) -> Result<ReconstructedRun, TraceError> {
         let domain = trace_domain(&self.level_names)?;
-        let (order, records, steals) = collect_records(&self.events, &domain)?;
+        let (records, steals) = collect_records(&self.events, &domain)?;
 
         // Keep only completed tasks.
-        let kept: Vec<TaskKey> = order
-            .iter()
-            .copied()
-            .filter(|k| records[k].is_complete())
+        let members: Vec<Member<'_>> = (0..records.len() as Slot)
+            .map(|slot| Member::of(&records, slot))
+            .filter(|m| m.record.is_complete())
             .collect();
-        let skipped = order.len() - kept.len();
-        if kept.is_empty() {
+        let skipped = records.len() - members.len();
+        if members.is_empty() {
             return Err(TraceError::Empty);
         }
-        let members: Vec<(TaskKey, &TaskRecord)> =
-            kept.iter().map(|&k| (k, &records[&k])).collect();
         assemble(&domain, self.num_workers, &members, skipped, steals)
     }
 
@@ -403,9 +415,9 @@ impl ExecutionTrace {
     ///
     /// This is the post-hoc mirror of the streaming reconstructor
     /// ([`crate::stream::IncrementalReconstructor`]), which retires one
-    /// component at a time: both call the same record-collection and
-    /// graph-assembly code, so per-component verdicts and (W, S) values are
-    /// identical by construction.  Note that a component's bound reports can
+    /// component at a time: both call the same graph-assembly code, so
+    /// per-component verdicts and (W, S) values are identical by
+    /// construction.  Note that a component's bound reports can
     /// legitimately differ from the full-graph [`ExecutionTrace::reconstruct`]
     /// reports, because competitor work `W` counts vertices of *other*
     /// components when they are present in the same graph.
@@ -422,50 +434,44 @@ impl ExecutionTrace {
     /// As for [`ExecutionTrace::reconstruct`].
     pub fn reconstruct_components(&self) -> Result<Vec<ReconstructedRun>, TraceError> {
         let domain = trace_domain(&self.level_names)?;
-        let (order, records, steals) = collect_records(&self.events, &domain)?;
+        let (records, steals) = collect_records(&self.events, &domain)?;
 
-        // Union-find over first-appearance indices: spawns and touches glue
-        // the performing task to the created/touched one.
-        let index_of: HashMap<TaskKey, usize> =
-            order.iter().enumerate().map(|(i, &k)| (k, i)).collect();
-        let mut uf = UnionFind::new(order.len());
-        for (&key, record) in &records {
-            let i = index_of[&key];
+        // Union-find over slots: spawns and touches glue the performing task
+        // to the created/touched one.
+        let mut uf = UnionFind::new(records.len());
+        for (slot, (_, record)) in records.iter().enumerate() {
             for action in &record.actions {
-                let other = match action.kind {
-                    ActionKind::SpawnChild(c) => c,
-                    ActionKind::Touch(t) => t,
-                };
-                if let Some(&j) = index_of.get(&other) {
-                    uf.union(i, j);
-                }
+                uf.union(slot, action.kind.target() as usize);
             }
         }
 
         // Group members by component root, in first-appearance order of both
         // the component and its members.
-        let mut component_of_root: HashMap<usize, usize> = HashMap::new();
-        let mut components: Vec<Vec<TaskKey>> = Vec::new();
-        for (i, &key) in order.iter().enumerate() {
-            let root = uf.find(i);
-            let c = *component_of_root.entry(root).or_insert_with(|| {
+        let mut component_of_root = vec![usize::MAX; records.len()];
+        let mut components: Vec<Vec<Slot>> = Vec::new();
+        for slot in 0..records.len() {
+            let root = uf.find(slot);
+            if component_of_root[root] == usize::MAX {
+                component_of_root[root] = components.len();
                 components.push(Vec::new());
-                components.len() - 1
-            });
-            components[c].push(key);
+            }
+            components[component_of_root[root]].push(slot as Slot);
         }
 
-        let mut runs = Vec::new();
-        for member_keys in components {
-            let members: Vec<(TaskKey, &TaskRecord)> = member_keys
-                .iter()
-                .filter(|k| records[k].is_complete())
-                .map(|&k| (k, &records[&k]))
-                .collect();
+        let mut runs = Vec::with_capacity(components.len());
+        let mut members: Vec<Member<'_>> = Vec::new();
+        for slots in &components {
+            members.clear();
+            members.extend(
+                slots
+                    .iter()
+                    .map(|&slot| Member::of(&records, slot))
+                    .filter(|m| m.record.is_complete()),
+            );
             if members.is_empty() {
                 continue;
             }
-            let skipped = member_keys.len() - members.len();
+            let skipped = slots.len() - members.len();
             let run_steals = if runs.is_empty() { steals } else { 0 };
             runs.push(assemble(
                 &domain,
@@ -484,20 +490,20 @@ impl ExecutionTrace {
 
 /// Minimal union-find (path halving + union by size) used for component
 /// partitioning.
-pub(crate) struct UnionFind {
+struct UnionFind {
     parent: Vec<usize>,
     size: Vec<usize>,
 }
 
 impl UnionFind {
-    pub(crate) fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         UnionFind {
             parent: (0..n).collect(),
             size: vec![1; n],
         }
     }
 
-    pub(crate) fn find(&mut self, mut x: usize) -> usize {
+    fn find(&mut self, mut x: usize) -> usize {
         while self.parent[x] != x {
             self.parent[x] = self.parent[self.parent[x]];
             x = self.parent[x];
@@ -505,10 +511,10 @@ impl UnionFind {
         x
     }
 
-    pub(crate) fn union(&mut self, a: usize, b: usize) -> usize {
+    fn union(&mut self, a: usize, b: usize) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
-            return ra;
+            return;
         }
         let (big, small) = if self.size[ra] >= self.size[rb] {
             (ra, rb)
@@ -517,26 +523,24 @@ impl UnionFind {
         };
         self.parent[small] = big;
         self.size[big] += self.size[small];
-        big
     }
 }
 
-/// What [`collect_records`] produces: the tasks in first-appearance order,
-/// their records, and the steal count.
-pub(crate) type CollectedRecords = (Vec<TaskKey>, HashMap<TaskKey, TaskRecord>, u64);
+/// Every declared task's key and record, indexed by slot.
+type Records = Vec<(TaskKey, TaskRecord)>;
 
-/// Walks a complete event log into per-task records: passes 1a (task
-/// creation), 1b (run spans), and 2 (action attribution) of reconstruction.
-pub(crate) fn collect_records(
+/// Walks a complete event log into per-task records, indexed by slot in
+/// first-appearance order, and counts the steals.
+fn collect_records(
     events: &[TraceEvent],
     domain: &PriorityDomain,
-) -> Result<CollectedRecords, TraceError> {
-    // Pass 1a: create a record per declared task, in first-appearance
+) -> Result<(Records, u64), TraceError> {
+    // Pass 1: create a record per declared task, in first-appearance
     // order.  Done before any Start/End is applied so a cross-shard
     // timestamp tie that orders a task's `Start` ahead of its `Spawn`
     // in the merged log cannot silently drop the task.
-    let mut order: Vec<TaskKey> = Vec::new();
-    let mut records: HashMap<TaskKey, TaskRecord> = HashMap::new();
+    let mut slot_of: HashMap<TaskKey, Slot> = HashMap::new();
+    let mut records: Records = Vec::new();
     let mut steals = 0u64;
     for ev in events {
         match *ev {
@@ -549,9 +553,10 @@ pub(crate) fn collect_records(
                 if level >= domain.len() {
                     return Err(TraceError::LevelOutOfRange { task, level });
                 }
-                records.entry(task).or_insert_with(|| {
-                    order.push(task);
-                    TaskRecord::new(level, matches!(ev, TraceEvent::IoSubmit { .. }), at)
+                slot_of.entry(task).or_insert_with(|| {
+                    let is_io = matches!(ev, TraceEvent::IoSubmit { .. });
+                    records.push((task, TaskRecord::new(level, is_io, at)));
+                    (records.len() - 1) as Slot
                 });
             }
             TraceEvent::Steal { .. } => steals += 1,
@@ -559,32 +564,28 @@ pub(crate) fn collect_records(
         }
     }
 
-    // Pass 1b: apply run spans and completions.
+    // Pass 2: apply run spans and completions, and attribute spawn/touch
+    // actions to the performing task.
+    let slot = |key: TaskKey| slot_of.get(&key).copied();
     for ev in events {
         match *ev {
             TraceEvent::Start { task, at, .. } => {
-                if let Some(r) = records.get_mut(&task) {
-                    r.started_at.get_or_insert(at);
+                if let Some(s) = slot(task) {
+                    records[s as usize].1.started_at.get_or_insert(at);
                 }
             }
             TraceEvent::End { task, at } => {
-                if let Some(r) = records.get_mut(&task) {
-                    r.finished_at.get_or_insert(at);
+                if let Some(s) = slot(task) {
+                    records[s as usize].1.finished_at.get_or_insert(at);
                 }
             }
             TraceEvent::IoComplete { task, at } => {
-                if let Some(r) = records.get_mut(&task) {
+                if let Some(s) = slot(task) {
+                    let r = &mut records[s as usize].1;
                     r.started_at.get_or_insert(at);
                     r.finished_at.get_or_insert(at);
                 }
             }
-            _ => {}
-        }
-    }
-
-    // Pass 2: attribute spawn/touch actions to the performing task.
-    for ev in events {
-        match *ev {
             TraceEvent::Spawn {
                 task,
                 parent: Some(p),
@@ -596,11 +597,11 @@ pub(crate) fn collect_records(
                 parent: Some(p),
                 at,
                 ..
-            } if records.contains_key(&task) => {
-                if let Some(r) = records.get_mut(&p) {
-                    r.actions.push(Action {
+            } => {
+                if let (Some(child), Some(parent)) = (slot(task), slot(p)) {
+                    records[parent as usize].1.actions.push(Action {
                         at,
-                        kind: ActionKind::SpawnChild(task),
+                        kind: ActionKind::SpawnChild(child),
                     });
                 }
             }
@@ -608,9 +609,9 @@ pub(crate) fn collect_records(
                 toucher: Some(t),
                 touched,
                 at,
-            } if records.contains_key(&touched) => {
-                if let Some(r) = records.get_mut(&t) {
-                    r.actions.push(Action {
+            } => {
+                if let (Some(touched), Some(toucher)) = (slot(touched), slot(t)) {
+                    records[toucher as usize].1.actions.push(Action {
                         at,
                         kind: ActionKind::Touch(touched),
                     });
@@ -620,140 +621,180 @@ pub(crate) fn collect_records(
         }
     }
 
-    Ok((order, records, steals))
+    Ok((records, steals))
 }
 
-/// Passes 3 and 4 of reconstruction, shared verbatim by the post-hoc and
-/// streaming paths: builds the cost graph and observed schedule for the
-/// given complete tasks (`members`, in thread order).  Edges referencing
-/// tasks outside `members` are dropped.  Each member's actions are stably
-/// re-sorted by timestamp first — a no-op for the post-hoc path (the log is
-/// time-sorted), and a repair for streaming commits where a late-resolved
-/// orphan event was applied out of order.
+/// One complete task handed to [`assemble`]: its key, its slot in the
+/// caller's task table (what its peers' actions name it by), and its
+/// record.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Member<'a> {
+    pub(crate) key: TaskKey,
+    pub(crate) slot: Slot,
+    pub(crate) record: &'a TaskRecord,
+}
+
+impl<'a> Member<'a> {
+    fn of(records: &'a Records, slot: Slot) -> Self {
+        let (key, record) = &records[slot as usize];
+        Member {
+            key: *key,
+            slot,
+            record,
+        }
+    }
+}
+
+/// Builds the cost graph and observed schedule for the given complete
+/// tasks (`members`, in thread order); shared verbatim by the post-hoc and
+/// streaming paths.  Edges to tasks outside `members` are dropped.  Each
+/// member's actions are taken in timestamp order: as recorded when they
+/// already are (always on the post-hoc path, whose log is time-sorted), or
+/// from a stably sorted copy (a streaming commit can apply a late-resolved
+/// orphan event out of order).
 pub(crate) fn assemble(
     domain: &PriorityDomain,
     num_workers: usize,
-    members: &[(TaskKey, &TaskRecord)],
+    members: &[Member<'_>],
     skipped: usize,
     steals: u64,
 ) -> Result<ReconstructedRun, TraceError> {
-    {
-        let kept: Vec<TaskKey> = members.iter().map(|&(k, _)| k).collect();
-        let sorted_actions: Vec<Vec<Action>> = members
-            .iter()
-            .map(|&(_, r)| {
-                let mut actions = r.actions.clone();
-                actions.sort_by_key(|a| a.at);
-                actions
-            })
-            .collect();
-        let thread_of: HashMap<TaskKey, usize> =
-            kept.iter().enumerate().map(|(i, &k)| (k, i)).collect();
-
-        // Pass 3: build the graph.  Threads in `kept` order; vertices carry
-        // their observed timestamps; action vertex timestamps are clamped
-        // into the task's [start, end] span to tolerate clock coarseness.
-        let mut builder = DagBuilder::new(domain.clone());
-        let mut vertex_times: Vec<u64> = Vec::new();
-        let mut threads: Vec<ThreadId> = Vec::with_capacity(kept.len());
-        let mut tasks: Vec<TracedTask> = Vec::with_capacity(kept.len());
-        // Action vertices of each thread, aligned with the kept actions, and
-        // each thread's last vertex (needed before `build()` for weak edges).
-        let mut action_vertices: Vec<Vec<VertexId>> = Vec::with_capacity(kept.len());
-        let mut thread_last: Vec<VertexId> = Vec::with_capacity(kept.len());
-        for (i, key) in kept.iter().enumerate() {
-            let r = members[i].1;
-            let priority = domain.by_index(r.level);
-            let name = if r.is_io {
-                format!("io{i}")
+    let actions: Vec<Cow<'_, [Action]>> = members
+        .iter()
+        .map(|m| {
+            let actions = &m.record.actions;
+            if actions.is_sorted_by_key(|a| a.at) {
+                Cow::Borrowed(actions.as_slice())
             } else {
-                format!("task{i}")
-            };
-            let t = builder.thread(name, priority);
-            threads.push(t);
-            let started = r.started_at.expect("kept tasks are complete");
-            let finished = r.finished_at.expect("kept tasks are complete").max(started);
-            let mut actions = Vec::new();
-            let last = if r.is_io {
-                // A single vertex at the completion instant.
-                let v = builder.vertex_labeled(t, Some("io"));
-                vertex_times.push(finished);
-                v
-            } else {
-                let _begin = builder.vertex_labeled(t, Some("begin"));
-                vertex_times.push(started);
-                for a in &sorted_actions[i] {
-                    let label = match a.kind {
-                        ActionKind::SpawnChild(_) => "spawn",
-                        ActionKind::Touch(_) => "touch",
-                    };
-                    let v = builder.vertex_labeled(t, Some(label));
-                    actions.push(v);
-                    vertex_times.push(a.at.clamp(started, finished));
-                }
-                let end = builder.vertex_labeled(t, Some("end"));
-                vertex_times.push(finished);
-                end
-            };
-            action_vertices.push(actions);
-            thread_last.push(last);
-            tasks.push(TracedTask {
-                key: *key,
-                thread: t,
-                is_io: r.is_io,
-                level: r.level,
-                spawned_at: r.spawned_at,
-                started_at: started,
-                finished_at: finished,
-            });
-        }
-
-        // Pass 4: edges.
-        for i in 0..kept.len() {
-            let r = members[i].1;
-            if r.is_io {
-                continue;
+                let mut sorted = actions.clone();
+                sorted.sort_by_key(|a| a.at);
+                Cow::Owned(sorted)
             }
-            let my_priority = domain.by_index(r.level);
-            for (a, &v) in sorted_actions[i].iter().zip(&action_vertices[i]) {
-                match a.kind {
-                    ActionKind::SpawnChild(child) => {
-                        let Some(&j) = thread_of.get(&child) else {
-                            continue;
-                        };
-                        builder.fcreate(v, threads[j]).map_err(TraceError::Build)?;
-                    }
-                    ActionKind::Touch(touched) => {
-                        let Some(&j) = thread_of.get(&touched) else {
-                            continue;
-                        };
-                        let touched_priority = domain.by_index(members[j].1.level);
-                        if domain.leq(my_priority, touched_priority) {
-                            // A legal touch: a strong ftouch edge.
-                            builder.ftouch(threads[j], v).map_err(TraceError::Build)?;
-                        } else {
-                            // An inverting dependence: demoted to a weak
-                            // edge from the touched thread's last vertex so
-                            // the graph stays well-formed while the observed
-                            // ordering is still recorded.
-                            builder.weak(thread_last[j], v).map_err(TraceError::Build)?;
-                        }
-                    }
-                }
-            }
-        }
-
-        let dag = builder.build().map_err(TraceError::Build)?;
-        let schedule = observed_schedule(&dag, &vertex_times, num_workers.max(1));
-        Ok(ReconstructedRun {
-            dag,
-            schedule,
-            tasks,
-            vertex_times,
-            skipped,
-            steals,
         })
+        .collect();
+    // Slot → thread index, sorted by slot for lookups.
+    let mut thread_by_slot: Vec<(Slot, usize)> = members
+        .iter()
+        .enumerate()
+        .map(|(i, m)| (m.slot, i))
+        .collect();
+    thread_by_slot.sort_unstable();
+    let thread_of = |slot: Slot| {
+        thread_by_slot
+            .binary_search_by_key(&slot, |&(s, _)| s)
+            .ok()
+            .map(|i| thread_by_slot[i].1)
+    };
+
+    // Pass 3: build the graph.  Threads in `members` order; vertices carry
+    // their observed timestamps; action vertex timestamps are clamped into
+    // the task's [start, end] span to tolerate clock coarseness.  A
+    // thread's vertices are numbered consecutively, so its `k`-th action
+    // vertex is `begin + 1 + k`.
+    let vertex_count = members
+        .iter()
+        .zip(&actions)
+        .map(|(m, a)| if m.record.is_io { 1 } else { a.len() + 2 })
+        .sum();
+    let mut builder = DagBuilder::new(domain.clone());
+    let mut vertex_times: Vec<u64> = Vec::with_capacity(vertex_count);
+    let mut tasks: Vec<TracedTask> = Vec::with_capacity(members.len());
+    // Each thread's first and last vertex (the last is needed before
+    // `build()` for weak edges).
+    let mut thread_ends: Vec<(VertexId, VertexId)> = Vec::with_capacity(members.len());
+    for (i, m) in members.iter().enumerate() {
+        let r = m.record;
+        let priority = domain.by_index(r.level);
+        let name = if r.is_io {
+            format!("io{i}")
+        } else {
+            format!("task{i}")
+        };
+        let t = builder.thread(name, priority);
+        let started = r.started_at.expect("members are complete");
+        let finished = r.finished_at.expect("members are complete").max(started);
+        let ends = if r.is_io {
+            // A single vertex at the completion instant.
+            let v = builder.vertex_labeled(t, Some("io"));
+            vertex_times.push(finished);
+            (v, v)
+        } else {
+            let begin = builder.vertex_labeled(t, Some("begin"));
+            vertex_times.push(started);
+            for a in actions[i].iter() {
+                let label = match a.kind {
+                    ActionKind::SpawnChild(_) => "spawn",
+                    ActionKind::Touch(_) => "touch",
+                };
+                builder.vertex_labeled(t, Some(label));
+                vertex_times.push(a.at.clamp(started, finished));
+            }
+            let end = builder.vertex_labeled(t, Some("end"));
+            vertex_times.push(finished);
+            (begin, end)
+        };
+        thread_ends.push(ends);
+        tasks.push(TracedTask {
+            key: m.key,
+            thread: t,
+            is_io: r.is_io,
+            level: r.level,
+            spawned_at: r.spawned_at,
+            started_at: started,
+            finished_at: finished,
+        });
     }
+
+    // Pass 4: edges.
+    for (i, m) in members.iter().enumerate() {
+        let r = m.record;
+        if r.is_io {
+            continue;
+        }
+        let my_priority = domain.by_index(r.level);
+        let begin = thread_ends[i].0.index();
+        for (k, a) in actions[i].iter().enumerate() {
+            let v = VertexId((begin + 1 + k) as u32);
+            let Some(j) = thread_of(a.kind.target()) else {
+                continue;
+            };
+            match a.kind {
+                ActionKind::SpawnChild(_) => {
+                    builder
+                        .fcreate(v, tasks[j].thread)
+                        .map_err(TraceError::Build)?;
+                }
+                ActionKind::Touch(_) => {
+                    let touched_priority = domain.by_index(members[j].record.level);
+                    if domain.leq(my_priority, touched_priority) {
+                        // A legal touch: a strong ftouch edge.
+                        builder
+                            .ftouch(tasks[j].thread, v)
+                            .map_err(TraceError::Build)?;
+                    } else {
+                        // An inverting dependence: demoted to a weak edge
+                        // from the touched thread's last vertex so the graph
+                        // stays well-formed while the observed ordering is
+                        // still recorded.
+                        builder
+                            .weak(thread_ends[j].1, v)
+                            .map_err(TraceError::Build)?;
+                    }
+                }
+            }
+        }
+    }
+
+    let dag = builder.build().map_err(TraceError::Build)?;
+    let schedule = observed_schedule(&dag, &vertex_times, num_workers.max(1));
+    Ok(ReconstructedRun {
+        dag,
+        schedule,
+        tasks,
+        vertex_times,
+        skipped,
+        steals,
+    })
 }
 
 /// Linearises observed vertex timestamps into a valid admissible schedule:
@@ -1141,6 +1182,22 @@ mod tests {
         let run = trace(events, 2, &["only"]).reconstruct().unwrap();
         run.schedule.validate(&run.dag).unwrap();
         assert!(run.schedule.is_admissible(&run.dag));
+    }
+
+    /// Causal adjustment moves a tied vertex one tick past its parent and
+    /// no further: it then ties with a vertex observed a tick later, and
+    /// the lower vertex id goes first.
+    #[test]
+    fn causal_adjustment_moves_a_tied_vertex_one_tick() {
+        let dom = PriorityDomain::single();
+        let mut b = DagBuilder::new(dom.clone());
+        let a = b.thread("a", dom.by_index(0));
+        let (a0, a1) = (b.vertex(a), b.vertex(a));
+        let c = b.thread("c", dom.by_index(0));
+        let c0 = b.vertex(c);
+        let dag = b.build().unwrap();
+        let schedule = observed_schedule(&dag, &[0, 0, 1], 2);
+        assert_eq!(schedule.steps, vec![vec![a0], vec![a1, c0]]);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy)]
 pub struct MutationTarget {
     /// Short module label (`scheduler`, `schedule`, `solver`, `tracer`,
-    /// `bound`, `wellformed`, `pool`, `subst`).  A module whose code spans
+    /// `stream`, `bound`, `wellformed`, `pool`, `subst`).  A module whose code spans
     /// several files has one entry per file, each with its own share of
     /// the campaign's mutants.
     pub module: &'static str,
@@ -48,9 +48,10 @@ pub struct MutationTarget {
     pub functions: &'static [(&'static str, Option<&'static str>)],
 }
 
-/// The eight hot paths under test: the bucketed prompt scheduler, the
+/// The nine hot paths under test: the bucketed prompt scheduler, the
 /// promptness check, the priority-constraint solver, the trace
-/// reconstructor's schedule builder, the Theorem 2.3 bound check (with the
+/// reconstructor's schedule builder, the streaming reconstructor's slot
+/// union-find and retirement, the Theorem 2.3 bound check (with the
 /// per-thread metrics: the masked competitor-work count, the ancestor-row
 /// fill and the per-level priority rows), the Definition 1 and 4
 /// well-formedness checks (with the priority-inverting edge filter and the
@@ -85,6 +86,13 @@ pub const TARGETS: &[MutationTarget] = &[
         file: "crates/core/src/trace.rs",
         test_filter: "trace::tests",
         functions: &[("observed_schedule", None), ("check_schedule", None)],
+    },
+    MutationTarget {
+        module: "stream",
+        package: "rp-core",
+        file: "crates/core/src/stream.rs",
+        test_filter: "stream::tests",
+        functions: &[("find", None), ("union", None), ("retire_ready", None)],
     },
     MutationTarget {
         module: "bound",

@@ -539,6 +539,17 @@ impl Runtime {
         self.started_at.elapsed()
     }
 
+    /// What [`drain`](Self::drain) waits on: the tasks pushed and not yet
+    /// finished at each level (lowest first), and the simulated-I/O
+    /// operations the reactor has not completed.  For diagnosing a drain
+    /// that timed out.
+    pub fn pending_work(&self) -> (Vec<usize>, usize) {
+        let per_level = (0..self.shared.levels.len())
+            .map(|level| self.shared.level_load(level).pending)
+            .collect();
+        (per_level, self.reactor.pending_ops())
+    }
+
     /// Waits (bounded by `timeout`) until no tasks are pending **and** no
     /// simulated-I/O operations are still in flight.  Returns whether the
     /// runtime drained in time.

@@ -694,7 +694,7 @@ impl NetServer {
         // The admin plane outlives this drain: its loop only watches the
         // `shutdown` flag, which flips after the drain completes, so
         // telemetry stays scrapeable for the whole DRAINING window.
-        let _ = self.ctx.runtime.drain(Duration::from_secs(10));
+        drain_or_report(&self.ctx.runtime, "drain before stop");
         self.shutdown.store(true, Ordering::SeqCst);
         // Wake the acceptor and an idle admin plane out of their blocking
         // accepts.
@@ -717,7 +717,7 @@ impl NetServer {
         }
         // `ShuttingDown` answers to frames that raced the drain may still
         // sit with the reactor; flush them before tearing the runtime down.
-        let _ = self.ctx.runtime.drain(Duration::from_secs(10));
+        drain_or_report(&self.ctx.runtime, "drain after stop");
         // Sweep the trace tail the drain thread could not have seen (the
         // late `ShuttingDown` writes above) and settle every remaining
         // component, so the final aggregates cover the whole run.
@@ -735,6 +735,19 @@ impl NetServer {
         let runtime = Arc::clone(&self.ctx.runtime);
         drop(self.ctx);
         shutdown_runtime(runtime, Duration::from_secs(10));
+    }
+}
+
+/// Drains the runtime for up to ten seconds; on a timeout, says on stderr
+/// which shutdown drain expired and what the runtime still held.
+fn drain_or_report(runtime: &Runtime, which: &str) {
+    let timeout = Duration::from_secs(10);
+    if !runtime.drain(timeout) {
+        let (per_level, reactor_ops) = runtime.pending_work();
+        eprintln!(
+            "rp-net shutdown: {which} did not finish within {timeout:?}; \
+             tasks pending per level {per_level:?}, reactor ops pending {reactor_ops}"
+        );
     }
 }
 

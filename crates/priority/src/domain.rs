@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A handle to one priority level of a [`PriorityDomain`].
 ///
@@ -196,9 +197,11 @@ impl PriorityDomainBuilder {
             }
         }
         Ok(PriorityDomain {
-            names: self.names,
-            index: self.index,
-            leq,
+            tables: Arc::new(DomainTables {
+                names: self.names,
+                index: self.index,
+                leq,
+            }),
         })
     }
 }
@@ -206,7 +209,9 @@ impl PriorityDomainBuilder {
 /// A finite, partially ordered set of priorities.
 ///
 /// The domain owns the level names and the precomputed `⪯` relation.
-/// Priority handles ([`Priority`]) index into it.
+/// Priority handles ([`Priority`]) index into it.  The tables are immutable
+/// and shared: cloning a domain is a reference-count increment, and two
+/// domains are equal when their levels and order are.
 ///
 /// # Example
 ///
@@ -220,6 +225,12 @@ impl PriorityDomainBuilder {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PriorityDomain {
+    tables: Arc<DomainTables>,
+}
+
+/// The immutable contents of a [`PriorityDomain`].
+#[derive(Debug, PartialEq, Eq)]
+struct DomainTables {
     names: Vec<String>,
     index: HashMap<String, u32>,
     /// `leq[i][j]` iff priority `i ⪯ j` (reflexive and transitive).
@@ -273,17 +284,17 @@ impl PriorityDomain {
 
     /// Number of priority levels.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.tables.names.len()
     }
 
     /// Whether the domain has no levels (never true for a built domain).
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.tables.names.is_empty()
     }
 
     /// Looks up a priority level by name.
     pub fn priority(&self, name: &str) -> Option<Priority> {
-        self.index.get(name).map(|&i| Priority(i))
+        self.tables.index.get(name).map(|&i| Priority(i))
     }
 
     /// The priority with the given raw index.
@@ -303,12 +314,12 @@ impl PriorityDomain {
     /// Panics if the handle does not belong to this domain (index out of
     /// range).
     pub fn name(&self, p: Priority) -> &str {
-        &self.names[p.index()]
+        &self.tables.names[p.index()]
     }
 
     /// Iterates over every priority of the domain, in declaration order.
     pub fn iter(&self) -> impl Iterator<Item = Priority> + '_ {
-        (0..self.names.len() as u32).map(Priority)
+        (0..self.len() as u32).map(Priority)
     }
 
     /// `ρ₁ ⪯ ρ₂`: is `a` lower than or equal to `b`?
@@ -317,7 +328,7 @@ impl PriorityDomain {
     ///
     /// Panics if either handle is out of range for this domain.
     pub fn leq(&self, a: Priority, b: Priority) -> bool {
-        self.leq[a.index()][b.index()]
+        self.tables.leq[a.index()][b.index()]
     }
 
     /// `ρ₁ ≺ ρ₂`: is `a` strictly lower than `b`?
@@ -495,6 +506,26 @@ mod tests {
         let p2 = d.by_index(2);
         assert_eq!(d.count_strictly_above(p2), 2);
         assert_eq!(d.count_strictly_below(p2), 2);
+    }
+
+    #[test]
+    fn clones_share_tables_and_equality_compares_contents() {
+        let d = PriorityDomain::numeric(3);
+        let c = d.clone();
+        assert!(
+            Arc::ptr_eq(&d.tables, &c.tables),
+            "a clone shares the tables"
+        );
+        assert_eq!(c, d);
+        // Built separately: different tables, same contents.
+        let rebuilt = PriorityDomain::total_order(["p0", "p1", "p2"]).unwrap();
+        assert!(!Arc::ptr_eq(&d.tables, &rebuilt.tables));
+        assert_eq!(rebuilt, d);
+        assert_ne!(PriorityDomain::numeric(2), d);
+        let renamed = PriorityDomain::total_order(["a", "b", "c"]).unwrap();
+        assert_ne!(renamed, d, "equal shape, different names");
+        let reversed = PriorityDomain::total_order(["p2", "p1", "p0"]).unwrap();
+        assert_ne!(reversed, d, "same names, different order");
     }
 
     #[test]
